@@ -9,12 +9,15 @@
 # merged example-program coverage against the checked-in golden
 # (tests/goldens/coverage.json), and a profile_diff of two identical
 # profiled VM runs to pin down hot-set determinism. RUN_BENCH=1
-# additionally runs the microbenchmarks. After the primary build, two
+# additionally runs the microbenchmarks. After the primary build, three
 # hardening builds run: one with the telemetry layer compiled out
-# (-DRETICLE_NO_TELEMETRY=ON) and one under ThreadSanitizer exercising
+# (-DRETICLE_NO_TELEMETRY=ON), one under ThreadSanitizer exercising
 # the concurrent batch-compile path, concurrent compiled-simulation
-# VM runs, and the SAT portfolio's racing lane threads. Run from anywhere; builds into
-# <repo>/build (plus build-notelem/ and build-tsan/ siblings).
+# VM runs, and the SAT portfolio's racing lane threads, and one under
+# AddressSanitizer + UndefinedBehaviorSanitizer running the waveform,
+# VM, coverage and wave-golden tests (the word-level observation path
+# indexes raw slice arrays). Run from anywhere; builds into <repo>/build
+# (plus build-notelem/, build-tsan/ and build-asan/ siblings).
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -216,14 +219,14 @@ if [ "${RUN_BENCH:-0}" = "1" ]; then
             (cd "$out" && "$build/bench/$bench")
         fi
     done
-    # The sim bench doc is a contract: schema, the seed baseline both
-    # speedup_vs_seed numbers divide by, one cycles_per_sec per series
-    # row (every engine/mode pair), and the profiled VM rows with their
-    # overhead_vs_none cost figure.
+    # The sim bench doc is a contract: schema, the observability targets
+    # the ratio_vs_bare rows are read against, one cycles_per_sec per
+    # series row (every program/engine/mode triple), and the profiled VM
+    # rows with their overhead_vs_none cost figure.
     "$build/tools/json_check" --require=schema --require=figure \
-        --require=baseline.interp_cycles_per_sec \
-        --require=baseline.netlist_cycles_per_sec \
+        --require=targets.vcd_vs_bare --require=targets.cov_vs_bare \
         --nonempty=series "$out/BENCH_sim.json"
+    grep -q '"ratio_vs_bare"' "$out/BENCH_sim.json"
     test "$(grep -c '"engine"' "$out/BENCH_sim.json")" = \
          "$(grep -c '"cycles_per_sec"' "$out/BENCH_sim.json")"
     grep -q '"profiled"' "$out/BENCH_sim.json"
@@ -310,5 +313,16 @@ cmake --build "$repo/build-tsan" -j"$jobs" \
     "$repo/examples/programs/scalar_adds.ret"
 "$repo/build-tsan/tools/json_check" --batch-summary \
     "$out/batch-tsan/summary.json"
+
+echo "== AddressSanitizer + UBSan build: word-level waveform path =="
+cmake -B "$repo/build-asan" -S "$repo" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS -fno-omit-frame-pointer -g" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+cmake --build "$repo/build-asan" -j"$jobs" \
+    --target wave_test sim_vm_test coverage_test wave_golden_test
+for t in wave_test sim_vm_test coverage_test wave_golden_test; do
+    "$repo/build-asan/tests/$t"
+done
 
 echo "ok: build, tests, and all emitted artifacts check out"

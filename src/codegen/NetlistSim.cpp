@@ -542,10 +542,10 @@ Result<interp::Trace> reticle::codegen::simulate(const Module &M,
     // the value held during the cycle, matching the interpreter's
     // pre-update register semantics.
     if (Frame.waveActive()) {
-      Frame.recorder().cycle(Cycle);
       for (size_t W = 0; W < WaveIds.size(); ++W)
-        Frame.recorder().record(static_cast<unsigned>(W),
-                                Signals.at(WaveIds[W]));
+        Frame.recorder().stage(static_cast<unsigned>(W),
+                               Signals.at(WaveIds[W]));
+      Frame.recorder().cycle(Cycle);
     }
     // Clock edge: FDRE and DSP P registers capture.
     std::map<size_t, Bits> NextFdre = State.FdreQ;

@@ -123,9 +123,9 @@ Result<Trace> reticle::interp::interpret(const Function &Fn,
     // as bound, combinational values as computed, registers showing the
     // value they held during the cycle (matching FDRE Q).
     if (Frame.waveActive()) {
-      Frame.recorder().cycle(Cycle);
       for (ir::ValueId Id = 0; Id < DU.numValues(); ++Id)
-        Frame.recorder().record(Id, Env[Id].toBits());
+        Frame.recorder().stage(Id, Env[Id].toBits());
+      Frame.recorder().cycle(Cycle);
     }
 
     // Eval(env, R): all registers update simultaneously on the clock edge,

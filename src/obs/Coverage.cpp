@@ -69,15 +69,42 @@ struct Coverage::Impl {
 Coverage::Coverage() : I(std::make_unique<Impl>()) {}
 Coverage::~Coverage() = default;
 
+/// The space named \p Space, created empty on first use. Callers hold
+/// the lock.
+static CoverageBins &spaceOf(CoverageSnapshot &Spaces,
+                             std::string_view Space) {
+  auto It = Spaces.find(Space);
+  if (It == Spaces.end())
+    It = Spaces.emplace(std::string(Space), CoverageBins()).first;
+  return It->second;
+}
+
 void Coverage::declare(std::string_view Space, std::string_view Bin) {
   std::lock_guard<std::mutex> Lock(I->Mu);
-  // try_emplace leaves an existing count untouched.
-  I->Spaces[std::string(Space)].try_emplace(std::string(Bin), 0);
+  CoverageBins &Bins = spaceOf(I->Spaces, Space);
+  // An existing count stays untouched.
+  if (Bins.find(Bin) == Bins.end())
+    Bins.emplace(std::string(Bin), 0);
 }
 
 void Coverage::hit(std::string_view Space, std::string_view Bin, uint64_t N) {
   std::lock_guard<std::mutex> Lock(I->Mu);
-  I->Spaces[std::string(Space)][std::string(Bin)] += N;
+  CoverageBins &Bins = spaceOf(I->Spaces, Space);
+  if (auto It = Bins.find(Bin); It != Bins.end())
+    It->second += N;
+  else
+    Bins.emplace(std::string(Bin), N);
+}
+
+void Coverage::mergeSpace(std::string_view Space, CoverageBins &&Bins) {
+  std::lock_guard<std::mutex> Lock(I->Mu);
+  auto It = I->Spaces.find(Space);
+  if (It == I->Spaces.end()) {
+    I->Spaces.emplace(std::string(Space), std::move(Bins));
+    return;
+  }
+  for (auto &[Bin, Count] : Bins)
+    It->second[Bin] += Count;
 }
 
 bool Coverage::empty() const {

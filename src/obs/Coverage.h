@@ -18,8 +18,9 @@
 ///    as zero-count bins) and hits a bin each time a pattern wins a
 ///    tree, at the same site the `isel:pattern` remark is emitted.
 ///  - **Dynamic toggle coverage**: `sim::ToggleCoverageSink` (a
-///    `sim::WaveSink`) replays per-cycle waveform events into
-///    per-signal-bit 0->1 / 1->0 bins for both simulation engines.
+///    `sim::WaveSink`) counts per-bit edges from the simulation engines'
+///    per-cycle word frames and folds them in as per-signal-bit
+///    0->1 / 1->0 bins with one `mergeSpace` at the end of a run.
 ///
 /// Like the rest of `src/obs/`, the whole API compiles out to inline
 /// no-ops under `RETICLE_NO_TELEMETRY`; collectors need no ifdefs. Like
@@ -51,10 +52,15 @@ namespace obs {
 
 class Json;
 
+/// One space's bins: bin name -> hit count. The transparent comparator
+/// lets lookups by string_view find an existing bin without building a
+/// std::string.
+using CoverageBins = std::map<std::string, uint64_t, std::less<>>;
+
 /// An ordered snapshot of one coverage registry: space name -> bin name
 /// -> hit count. std::map keeps serialization deterministic regardless
 /// of recording order.
-using CoverageSnapshot = std::map<std::string, std::map<std::string, uint64_t>>;
+using CoverageSnapshot = std::map<std::string, CoverageBins, std::less<>>;
 
 /// Builds the {"spaces": {...}, "totals": {...}} fragment shared by the
 /// stats `coverage` section, the batch summary, and the standalone doc.
@@ -83,8 +89,13 @@ public:
   /// in the snapshot with count 0.
   void declare(std::string_view Space, std::string_view Bin);
 
-  /// Adds \p N hits to the bin, creating it on first hit.
+  /// Adds \p N hits to the bin, creating it on first hit. Repeat hits
+  /// allocate nothing.
   void hit(std::string_view Space, std::string_view Bin, uint64_t N = 1);
+
+  /// Folds a whole space's bins in under one lock (counts summed); a
+  /// space not present yet takes \p Bins by move.
+  void mergeSpace(std::string_view Space, CoverageBins &&Bins);
 
   /// True when no bin has been declared or hit.
   bool empty() const;
@@ -123,6 +134,7 @@ public:
 
   void declare(std::string_view, std::string_view) {}
   void hit(std::string_view, std::string_view, uint64_t = 1) {}
+  void mergeSpace(std::string_view, CoverageBins &&) {}
   bool empty() const { return true; }
   CoverageSnapshot snapshot() const { return {}; }
   void merge(const Coverage &) {}

@@ -27,8 +27,8 @@
 ///    (computing all next states before storing any, so registers update
 ///    simultaneously).
 ///  - boundary metadata: input/output ports (how trace `Value`s map onto
-///    table words) and the waveform signal list (how table words flatten
-///    back into the per-cycle bit vectors a `WaveSink` observes).
+///    table words) and the waveform signal list (which table words a
+///    `WaveSink` reads each signal from; see `sim::WaveLayout`).
 ///
 /// Instructions operate on an operand stack of 64-bit words; the verifier
 /// checks stack discipline and operand bounds ahead of execution, and the
@@ -97,10 +97,10 @@ unsigned opOperands(Op O);
 unsigned opPops(Op O);
 unsigned opPushes(Op O);
 
-/// One named signal in the word table, with enough metadata to flatten
-/// its words back into the LSB-first bit vector the wave layer observes:
-/// lane L contributes the low `min(LaneWidth, Width - L*LaneWidth)` bits
-/// of word `Base + L`.
+/// One named signal in the word table, with enough metadata for the wave
+/// layer to read it in place (`WaveLayout::add` takes exactly this
+/// shape): lane L contributes the low `min(LaneWidth, Width - L*LaneWidth)`
+/// bits of word `Base + L` as flattened bits `[L*LaneWidth, ...)`.
 struct SignalInfo {
   std::string Name;
   unsigned Width = 1;     ///< flattened bit count

@@ -332,11 +332,18 @@ Result<Trace> executeImpl(const Program &P, const Trace &Inputs,
 
   EngineFrame Frame(Wave, Ctx, "sim.vm.cycles");
   if (Frame.waveActive()) {
+    // Observers read the word table in place: each signal's layout slices
+    // are its table words.
     std::vector<WaveSignal> WaveSigs;
+    WaveLayout Layout;
     WaveSigs.reserve(P.Signals.size());
-    for (const SignalInfo &S : P.Signals)
+    for (const SignalInfo &S : P.Signals) {
       WaveSigs.push_back({S.Name, S.Width, S.Kind});
-    if (Status S = Frame.recorder().begin(std::move(WaveSigs)); !S)
+      Layout.add(S.Base, S.Width, S.LaneWidth, S.Lanes);
+    }
+    if (Status S = Frame.recorder().begin(std::move(WaveSigs),
+                                          std::move(Layout));
+        !S)
       return fail<Trace>(S.error());
   }
 
@@ -386,19 +393,14 @@ Result<Trace> executeImpl(const Program &P, const Trace &Inputs,
     Ctx.counter("obs.profile.sampled_cycles") += Prof->SampledCycles;
   };
 
-  // Reads a signal's table words back into the LSB-first flattened bit
-  // vector the wave layer observes.
+  // Reads a packed output port wider than one word back into the
+  // LSB-first flattened bit vector Value::fromBits takes.
   std::vector<bool> BitBuf;
-  auto GatherBits = [&](uint32_t Base, unsigned Width, unsigned LaneWidth,
-                        unsigned Lanes) -> const std::vector<bool> & {
+  auto GatherBits = [&](uint32_t Base,
+                        unsigned Width) -> const std::vector<bool> & {
     BitBuf.assign(Width, false);
-    unsigned Bit = 0;
-    for (unsigned L = 0; L < Lanes && Bit < Width; ++L) {
-      unsigned Take = std::min(LaneWidth, Width - Bit);
-      uint64_t W = Words[Base + L];
-      for (unsigned K = 0; K < Take; ++K)
-        BitBuf[Bit++] = (W >> K) & 1;
-    }
+    for (unsigned B = 0; B < Width; ++B)
+      BitBuf[B] = (Words[Base + B / 64] >> (B % 64)) & 1;
     return BitBuf;
   };
 
@@ -475,20 +477,11 @@ Result<Trace> executeImpl(const Program &P, const Trace &Inputs,
           Lanes[L] = static_cast<int64_t>((W >> (L * Wd)) & maskOf(Wd));
         return Value::fromLanes(Po.Ty, std::move(Lanes));
       }
-      return Value::fromBits(
-          Po.Ty, GatherBits(Po.Base, Po.Ty.totalBits(),
-                            std::min(64u, Po.Ty.totalBits()),
-                            (Po.Ty.totalBits() + 63) / 64));
+      return Value::fromBits(Po.Ty, GatherBits(Po.Base, Po.Ty.totalBits()));
     });
 
-    if (Frame.waveActive()) {
-      Frame.recorder().cycle(Cycle);
-      for (size_t Id = 0; Id < P.Signals.size(); ++Id) {
-        const SignalInfo &S = P.Signals[Id];
-        Frame.recorder().record(
-            Id, GatherBits(S.Base, S.Width, S.LaneWidth, S.Lanes));
-      }
-    }
+    if (Frame.waveActive())
+      Frame.recorder().cycle(Cycle, Words.data());
 
     if (Sampled)
       T0 = std::chrono::steady_clock::now();

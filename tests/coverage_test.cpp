@@ -144,6 +144,33 @@ TEST(CoverageRegistry, MergeUnionsSpacesAndSumsCounts) {
   EXPECT_EQ(B.snapshot().at("s").at("shared"), 3u);
 }
 
+TEST(CoverageRegistry, MergeSpaceMovesNewSpacesAndSumsExisting) {
+  Coverage Cov;
+  obs::CoverageBins Fresh{{"a", 1}, {"b", 2}};
+  Cov.mergeSpace("new", std::move(Fresh));
+  Cov.hit("old", "a", 4);
+  Cov.mergeSpace("old", obs::CoverageBins{{"a", 1}, {"c", 3}});
+  CoverageSnapshot S = Cov.snapshot();
+  EXPECT_EQ(S.at("new"), (obs::CoverageBins{{"a", 1}, {"b", 2}}));
+  EXPECT_EQ(S.at("old"), (obs::CoverageBins{{"a", 5}, {"c", 3}}));
+}
+
+TEST(CoverageRegistry, LookupsBySubstringViewMatchWholeNames) {
+  // Hits through views into a larger buffer must land on the exact bin,
+  // not on a prefix or a neighbour.
+  Coverage Cov;
+  std::string Buffer = "isel.patternXaddY";
+  std::string_view Space(Buffer.data(), 12);
+  std::string_view Bin(Buffer.data() + 13, 3);
+  Cov.hit(Space, Bin);
+  Cov.hit(Space, Bin, 2);
+  Cov.declare(Space, Bin);
+  Cov.declare(Space, std::string_view(Buffer.data() + 13, 2));
+  CoverageSnapshot S = Cov.snapshot();
+  ASSERT_EQ(S.size(), 1u);
+  EXPECT_EQ(S.at("isel.pattern"), (obs::CoverageBins{{"ad", 0}, {"add", 3}}));
+}
+
 TEST(CoverageRegistry, ResetDropsEverything) {
   Coverage Cov;
   Cov.hit("s", "b");
@@ -210,14 +237,17 @@ TEST(CoverageCollectors, StatsDocEmbedsTheCoverageSection) {
 TEST(ToggleCoverage, RecordsPerBitEdges) {
   Coverage Cov;
   sim::ToggleCoverageSink Sink(Cov);
-  ASSERT_TRUE(Sink.begin({sim::WaveSignal("y", 2)}).ok());
-  Sink.beginCycle(0);
-  Sink.value(0, {false, true}, true); // first observation only seeds
-  Sink.beginCycle(1);
-  Sink.value(0, {true, false}, true); // bit0 0->1, bit1 1->0
-  Sink.beginCycle(2);
-  Sink.value(0, {true, false}, false); // unchanged: no edges
-  ASSERT_TRUE(Sink.finish(false).ok());
+  sim::WaveRecorder Rec(&Sink, obs::defaultContext());
+  ASSERT_TRUE(Rec.begin({sim::WaveSignal("y", 2)}).ok());
+  Rec.stage(0, {false, true}); // first observation only seeds
+  Rec.cycle(0);
+  Rec.stage(0, {true, false}); // bit0 0->1, bit1 1->0
+  Rec.cycle(1);
+  Rec.stage(0, {true, false}); // unchanged: no edges
+  Rec.cycle(2);
+  // Bins are named when the run finishes, not per edge.
+  EXPECT_TRUE(Cov.empty());
+  ASSERT_TRUE(Rec.finish(false).ok());
 
   CoverageSnapshot S = Cov.snapshot();
   ASSERT_TRUE(S.count("sim.toggle"));
@@ -232,13 +262,36 @@ TEST(ToggleCoverage, RecordsPerBitEdges) {
 TEST(ToggleCoverage, NarrowedValueReadsAsZeroBits) {
   Coverage Cov;
   sim::ToggleCoverageSink Sink(Cov);
-  ASSERT_TRUE(Sink.begin({sim::WaveSignal("w", 2)}).ok());
-  Sink.beginCycle(0);
-  Sink.value(0, {true, true}, true);
-  Sink.beginCycle(1);
-  Sink.value(0, {true}, true); // missing bit1 means 0: a 1->0 edge
-  ASSERT_TRUE(Sink.finish(false).ok());
+  sim::WaveRecorder Rec(&Sink, obs::defaultContext());
+  ASSERT_TRUE(Rec.begin({sim::WaveSignal("w", 2)}).ok());
+  Rec.stage(0, {true, true});
+  Rec.cycle(0);
+  Rec.stage(0, {true}); // missing bit1 means 0: a 1->0 edge
+  Rec.cycle(1);
+  ASSERT_TRUE(Rec.finish(false).ok());
   EXPECT_EQ(Cov.snapshot().at("sim.toggle").at("w[1]:10"), 1u);
+}
+
+TEST(ToggleCoverage, CountsEveryEdgeAcrossWordsAndFoldsIntoExistingBins) {
+  Coverage Cov;
+  Cov.hit("sim.toggle", "w[65]:01", 5);
+  sim::ToggleCoverageSink Sink(Cov);
+  sim::WaveRecorder Rec(&Sink, obs::defaultContext());
+  ASSERT_TRUE(Rec.begin({sim::WaveSignal("w", 70)}).ok());
+  std::vector<bool> Lo(70, false), Hi(70, false);
+  Hi[0] = Hi[65] = true;
+  for (int C = 0; C < 5; ++C) {
+    Rec.stage(0, C % 2 ? Hi : Lo);
+    Rec.cycle(C);
+  }
+  ASSERT_TRUE(Rec.finish(false).ok());
+  CoverageSnapshot S = Cov.snapshot();
+  const auto &Bins = S.at("sim.toggle");
+  EXPECT_EQ(Bins.at("w[0]:01"), 2u);
+  EXPECT_EQ(Bins.at("w[0]:10"), 2u);
+  EXPECT_EQ(Bins.at("w[65]:01"), 7u); // two edges on top of the five
+  EXPECT_EQ(Bins.at("w[65]:10"), 2u);
+  EXPECT_EQ(Bins.size(), 4u);
 }
 
 //===----------------------------------------------------------------------===//

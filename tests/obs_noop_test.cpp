@@ -101,6 +101,7 @@ TEST(ObsNoop, CoverageApiSurfaceIsInert) {
   Cov.declare("ir.op", "add");
   Cov.hit("ir.op", "add");
   Cov.hit("sim.toggle", "y[0]:01", 3);
+  Cov.mergeSpace("sim.toggle", obs::CoverageBins{{"y[1]:10", 1}});
   EXPECT_TRUE(Cov.empty());
   EXPECT_TRUE(Cov.snapshot().empty());
 

@@ -5,17 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// The waveform layer end to end: the Trace convenience API the engines
-/// replay, the WaveRecorder's change detection and counters, the VCD and
-/// reticle-wave-v1 writers (including the abort-flush contract), the
-/// input-trace parser, and both engines driving a sink — with the
-/// interpreter and the gate-level simulator agreeing on every shared port
-/// signal, the property `json_check wave_diff` gates on in CI.
+/// replay, the word layout, the WaveRecorder's word-level change detection
+/// and counters, the VCD and reticle-wave-v1 writers (including the
+/// abort-flush contract), the fan-out sink, the input-trace parser, and
+/// the engines driving a sink — with the interpreter and the gate-level
+/// simulator agreeing on every shared port signal, the property
+/// `json_check wave_diff` gates on in CI, and direct sinks producing
+/// exactly what capture-then-replay produces.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "interp/Wave.h"
 
 #include "codegen/NetlistSim.h"
+#include "obs/Coverage.h"
+#include "sim/Compile.h"
+#include "sim/Vm.h"
 #include "core/Compiler.h"
 #include "core/Stats.h"
 #include "interp/Interp.h"
@@ -33,6 +38,7 @@ using interp::Trace;
 using interp::Value;
 using obs::Json;
 using sim::WaveCapture;
+using sim::WaveLayout;
 using sim::WaveRecorder;
 using sim::WaveSignal;
 
@@ -50,6 +56,14 @@ ir::Function parseOk(const char *Source) {
   Result<ir::Function> Fn = ir::parseFunction(Source);
   EXPECT_TRUE(Fn.ok()) << Fn.error();
   return Fn.take();
+}
+
+/// One word per signal: the table layout the recorder tests drive.
+WaveLayout wordPerSignal(const std::vector<WaveSignal> &Sigs) {
+  WaveLayout L;
+  for (uint32_t I = 0; I < Sigs.size(); ++I)
+    L.add(I, Sigs[I].Width, Sigs[I].Width, 1);
+  return L;
 }
 
 Trace macTrace() {
@@ -111,6 +125,34 @@ TEST(WaveBits, RendersMsbFirst) {
 // WaveRecorder: change detection, width normalization, counters
 //===----------------------------------------------------------------------===//
 
+TEST(WaveLayout, SlicesFollowTheSignalShape) {
+  WaveLayout L;
+  L.add(4, 8, 8, 1);    // one i8 lane in word 4
+  L.add(5, 12, 4, 3);   // three 4-bit lanes in words 5..7
+  L.add(8, 70, 64, 2);  // 70 packed bits over words 8..9
+  ASSERT_EQ(L.signals(), 3u);
+  ASSERT_EQ(L.Slices.size(), 6u);
+  EXPECT_EQ(L.First, (std::vector<uint32_t>{0, 1, 4, 6}));
+  EXPECT_EQ(L.Slices[0].Word, 4u);
+  EXPECT_EQ(L.Slices[0].Mask, 0xFFu);
+  EXPECT_EQ(L.Slices[2].Word, 6u);
+  EXPECT_EQ(L.Slices[2].Bit, 4u);
+  EXPECT_EQ(L.Slices[2].width(), 4u);
+  EXPECT_EQ(L.Slices[4].Mask, ~uint64_t(0));
+  EXPECT_EQ(L.Slices[5].Bit, 64u);
+  EXPECT_EQ(L.Slices[5].width(), 6u);
+
+  // Lane 0 carries the low bits; rendering is MSB first.
+  const uint64_t Vals[6] = {0x81, 0x1, 0x2, 0xF, 0, 0x21};
+  std::string Text;
+  L.appendBits(Text, Vals, 1);
+  EXPECT_EQ(Text, "111100100001");
+  EXPECT_EQ(sim::bitsToString(L.bits(Vals, 0)), "10000001");
+  EXPECT_EQ(L.bits(Vals, 2).size(), 70u);
+  EXPECT_TRUE(L.bits(Vals, 2)[64]);
+  EXPECT_TRUE(L.bits(Vals, 2)[69]);
+}
+
 TEST(WaveRecorder, DetectsChangesAndCountsToggles) {
   obs::Telemetry Telem;
   obs::RemarkStream Rem;
@@ -118,22 +160,22 @@ TEST(WaveRecorder, DetectsChangesAndCountsToggles) {
   WaveCapture Cap;
   WaveRecorder Rec(&Cap, Ctx);
   EXPECT_TRUE(Rec.active());
-  ASSERT_TRUE(Rec.begin({WaveSignal("a", 4), WaveSignal("b", 1)}).ok());
+  std::vector<WaveSignal> Sigs = {WaveSignal("a", 4), WaveSignal("b", 1)};
+  ASSERT_TRUE(Rec.begin(Sigs, wordPerSignal(Sigs)).ok());
 
-  Rec.cycle(0);
-  Rec.record(0, {true, false, true, false}); // 0101
-  Rec.record(1, {true});
-  Rec.cycle(1);
-  Rec.record(0, {true, false, true, false}); // unchanged
-  Rec.record(1, {false});                    // flipped
+  uint64_t Words[2] = {0b0101, 1};
+  Rec.cycle(0, Words);
+  Words[1] = 0; // a unchanged, b flipped
+  Rec.cycle(1, Words);
   ASSERT_TRUE(Rec.finish(false).ok());
 
   ASSERT_EQ(Cap.cycles(), 2u);
   // First sight is always marked changed; repeats are not.
-  EXPECT_TRUE(Cap.eventsByCycle()[0][0].Changed);
-  EXPECT_TRUE(Cap.eventsByCycle()[0][1].Changed);
-  EXPECT_FALSE(Cap.eventsByCycle()[1][0].Changed);
-  EXPECT_TRUE(Cap.eventsByCycle()[1][1].Changed);
+  EXPECT_TRUE(Cap.changedAt(0, 0));
+  EXPECT_TRUE(Cap.changedAt(0, 1));
+  EXPECT_FALSE(Cap.changedAt(1, 0));
+  EXPECT_TRUE(Cap.changedAt(1, 1));
+  EXPECT_EQ(sim::bitsToString(*Cap.valueAt(1, "a")), "0101");
   EXPECT_TRUE(Cap.finished());
   EXPECT_FALSE(Cap.aborted());
 
@@ -146,16 +188,28 @@ TEST(WaveRecorder, DetectsChangesAndCountsToggles) {
 }
 
 TEST(WaveRecorder, NormalizesBitsToDeclaredWidth) {
+  // The staging shim pads a short bit vector to the declared width...
   WaveCapture Cap;
   WaveRecorder Rec(&Cap, obs::defaultContext());
   ASSERT_TRUE(Rec.begin({WaveSignal("w", 4)}).ok());
+  Rec.stage(0, {true}); // short: padded to 4 bits
   Rec.cycle(0);
-  Rec.record(0, {true}); // short: padded to 4 bits
   ASSERT_TRUE(Rec.finish(false).ok());
-  const std::vector<bool> *V = Cap.valueAt(0, "w");
-  ASSERT_NE(V, nullptr);
+  std::optional<std::vector<bool>> V = Cap.valueAt(0, "w");
+  ASSERT_TRUE(V);
   EXPECT_EQ(V->size(), 4u);
   EXPECT_EQ(sim::bitsToString(*V), "0001");
+
+  // ...and a table word's bits above the declared width (a sign-extended
+  // IR lane) are masked off.
+  WaveCapture Table;
+  WaveRecorder TableRec(&Table, obs::defaultContext());
+  std::vector<WaveSignal> Sigs = {WaveSignal("n", 4)};
+  ASSERT_TRUE(TableRec.begin(Sigs, wordPerSignal(Sigs)).ok());
+  const uint64_t MinusOne = ~uint64_t(0);
+  TableRec.cycle(0, &MinusOne);
+  ASSERT_TRUE(TableRec.finish(false).ok());
+  EXPECT_EQ(sim::bitsToString(*Table.valueAt(0, "n")), "1111");
 }
 
 TEST(WaveRecorder, NullSinkIsInert) {
@@ -165,11 +219,18 @@ TEST(WaveRecorder, NullSinkIsInert) {
   WaveRecorder Rec(nullptr, Ctx);
   EXPECT_FALSE(Rec.active());
   ASSERT_TRUE(Rec.begin({WaveSignal("a", 1)}).ok());
+  Rec.stage(0, {true});
   Rec.cycle(0);
-  Rec.record(0, {true});
   ASSERT_TRUE(Rec.finish(false).ok());
   EXPECT_EQ(Ctx.counter("sim.events").load(), 0u);
   EXPECT_EQ(Ctx.counter("sim.signals").load(), 0u);
+}
+
+TEST(WaveRecorder, RejectsALayoutOfTheWrongSize) {
+  WaveCapture Cap;
+  WaveRecorder Rec(&Cap, obs::defaultContext());
+  EXPECT_FALSE(
+      Rec.begin({WaveSignal("a", 1), WaveSignal("b", 1)}, WaveLayout()).ok());
 }
 
 //===----------------------------------------------------------------------===//
@@ -178,16 +239,18 @@ TEST(WaveRecorder, NullSinkIsInert) {
 
 TEST(WaveReplay, MergesSourcesWithPrefixes) {
   WaveCapture A, B;
-  ASSERT_TRUE(A.begin({WaveSignal("y", 2)}).ok());
-  A.beginCycle(0);
-  A.value(0, {true, false}, true);
-  ASSERT_TRUE(A.finish(false).ok());
-  ASSERT_TRUE(B.begin({WaveSignal("y", 2)}).ok());
-  B.beginCycle(0);
-  B.value(0, {true, false}, true);
-  B.beginCycle(1);
-  B.value(0, {false, true}, true);
-  ASSERT_TRUE(B.finish(true).ok()); // one aborted source
+  WaveRecorder RecA(&A, obs::defaultContext());
+  ASSERT_TRUE(RecA.begin({WaveSignal("y", 2)}).ok());
+  RecA.stage(0, {true, false});
+  RecA.cycle(0);
+  ASSERT_TRUE(RecA.finish(false).ok());
+  WaveRecorder RecB(&B, obs::defaultContext());
+  ASSERT_TRUE(RecB.begin({WaveSignal("y", 2)}).ok());
+  RecB.stage(0, {true, false});
+  RecB.cycle(0);
+  RecB.stage(0, {false, true});
+  RecB.cycle(1);
+  ASSERT_TRUE(RecB.finish(true).ok()); // one aborted source
 
   WaveCapture Merged;
   ASSERT_TRUE(sim::replay({{&A, "interp"}, {&B, "netlist"}}, Merged).ok());
@@ -198,8 +261,29 @@ TEST(WaveReplay, MergesSourcesWithPrefixes) {
   // the abort flag forward.
   EXPECT_EQ(Merged.cycles(), 2u);
   EXPECT_TRUE(Merged.aborted());
-  ASSERT_NE(Merged.valueAt(1, "netlist.y"), nullptr);
-  EXPECT_EQ(Merged.valueAt(1, "interp.y"), nullptr);
+  ASSERT_TRUE(Merged.valueAt(1, "netlist.y"));
+  EXPECT_EQ(sim::bitsToString(*Merged.valueAt(1, "netlist.y")), "10");
+  EXPECT_TRUE(Merged.changedAt(1, 1));
+  EXPECT_FALSE(Merged.valueAt(1, "interp.y"));
+}
+
+TEST(WaveFanout, EverySinkSeesTheSameRun) {
+  WaveCapture A, B;
+  sim::WaveFanout Fan;
+  EXPECT_TRUE(Fan.empty());
+  Fan.add(A);
+  Fan.add(B);
+  WaveRecorder Rec(&Fan, obs::defaultContext());
+  ASSERT_TRUE(Rec.begin({WaveSignal("y", 3)}).ok());
+  Rec.stage(0, {true, true, false});
+  Rec.cycle(0);
+  ASSERT_TRUE(Rec.finish(true).ok());
+  for (const WaveCapture *C : {&A, &B}) {
+    EXPECT_TRUE(C->finished());
+    EXPECT_TRUE(C->aborted());
+    ASSERT_TRUE(C->valueAt(0, "y"));
+    EXPECT_EQ(sim::bitsToString(*C->valueAt(0, "y")), "011");
+  }
 }
 
 #ifndef RETICLE_NO_TELEMETRY
@@ -243,14 +327,14 @@ TEST(VcdWriter, IdCodesAreCompactAndUnique) {
 
 TEST(VcdWriter, HeaderDumpAndSuppression) {
   sim::VcdWriter W("top");
-  ASSERT_TRUE(W.begin({WaveSignal("s", 1), WaveSignal("v", 8)}).ok());
-  W.beginCycle(0);
-  W.value(0, {true}, true);
-  W.value(1, std::vector<bool>(8, false), true);
-  W.beginCycle(1);
-  W.value(0, {true}, false); // suppressed
-  W.value(1, {true, false, false, false, false, false, false, false}, true);
-  ASSERT_TRUE(W.finish(false).ok());
+  WaveRecorder Rec(&W, obs::defaultContext());
+  std::vector<WaveSignal> Sigs = {WaveSignal("s", 1), WaveSignal("v", 8)};
+  ASSERT_TRUE(Rec.begin(Sigs, wordPerSignal(Sigs)).ok());
+  uint64_t Words[2] = {1, 0};
+  Rec.cycle(0, Words);
+  Words[1] = 1; // the scalar stays put and is suppressed
+  Rec.cycle(1, Words);
+  ASSERT_TRUE(Rec.finish(false).ok());
   const std::string &T = W.text();
 
   EXPECT_NE(T.find("$scope module top $end"), std::string::npos);
@@ -277,9 +361,10 @@ TEST(VcdWriter, HeaderDumpAndSuppression) {
 
 TEST(VcdWriter, DottedNamesBecomeScopes) {
   sim::VcdWriter W("mac");
-  ASSERT_TRUE(W.begin({WaveSignal("interp.y", 8), WaveSignal("netlist.y", 8),
-                       WaveSignal("clk", 1)})
-                  .ok());
+  std::vector<WaveSignal> Sigs = {WaveSignal("interp.y", 8),
+                                  WaveSignal("netlist.y", 8),
+                                  WaveSignal("clk", 1)};
+  ASSERT_TRUE(W.begin(Sigs, wordPerSignal(Sigs)).ok());
   ASSERT_TRUE(W.finish(false).ok());
   const std::string &T = W.text();
   EXPECT_NE(T.find("$scope module interp $end"), std::string::npos);
@@ -290,10 +375,11 @@ TEST(VcdWriter, DottedNamesBecomeScopes) {
 
 TEST(VcdWriter, AbortStillFlushesWellFormedOutput) {
   sim::VcdWriter W("t");
-  ASSERT_TRUE(W.begin({WaveSignal("a", 1)}).ok());
-  W.beginCycle(0);
-  W.value(0, {true}, true);
-  ASSERT_TRUE(W.finish(true).ok());
+  WaveRecorder Rec(&W, obs::defaultContext());
+  ASSERT_TRUE(Rec.begin({WaveSignal("a", 1)}).ok());
+  Rec.stage(0, {true});
+  Rec.cycle(0);
+  ASSERT_TRUE(Rec.finish(true).ok());
   EXPECT_NE(W.text().find("$comment aborted $end"), std::string::npos);
   EXPECT_EQ(checkVcdShape(W.text()), "");
 }
@@ -304,15 +390,16 @@ TEST(VcdWriter, AbortStillFlushesWellFormedOutput) {
 
 TEST(WaveJsonWriter, EveryLineParsesAndNothingIsSuppressed) {
   sim::WaveJsonWriter W("mac", "interp");
-  ASSERT_TRUE(W.begin({WaveSignal("a", 4, WaveSignal::Kind::Input),
-                       WaveSignal("y", 4, WaveSignal::Kind::Output)})
+  WaveRecorder Rec(&W, obs::defaultContext());
+  ASSERT_TRUE(Rec.begin({WaveSignal("a", 4, WaveSignal::Kind::Input),
+                         WaveSignal("y", 4, WaveSignal::Kind::Output)})
                   .ok());
   for (uint64_t C = 0; C < 3; ++C) {
-    W.beginCycle(C);
-    W.value(0, {true, false, false, false}, C == 0);
-    W.value(1, {false, true, false, false}, C == 0);
+    Rec.stage(0, {true, false, false, false});
+    Rec.stage(1, {false, true, false, false});
+    Rec.cycle(C); // unchanged after cycle 0, and still recorded
   }
-  ASSERT_TRUE(W.finish(true).ok());
+  ASSERT_TRUE(Rec.finish(true).ok());
 
   std::istringstream In(W.text());
   std::string Line;
@@ -505,8 +592,8 @@ TEST(WaveEngines, InterpreterStreamsPortsAndInternals) {
   EXPECT_EQ(Kinds.at("t1"), WaveSignal::Kind::Internal);
   // The streamed output values are exactly the returned trace's.
   for (size_t C = 0; C < In.size(); ++C) {
-    const std::vector<bool> *V = Cap.valueAt(C, "y");
-    ASSERT_NE(V, nullptr) << C;
+    std::optional<std::vector<bool>> V = Cap.valueAt(C, "y");
+    ASSERT_TRUE(V) << C;
     EXPECT_EQ(*V, Out.value().get(C, "y")->toBits()) << C;
   }
 }
@@ -523,7 +610,7 @@ TEST(WaveEngines, InterpreterAbortFlushesTruncatedCapture) {
   EXPECT_TRUE(Cap.finished());
   EXPECT_TRUE(Cap.aborted());
   EXPECT_EQ(Cap.cycles(), 2u);
-  ASSERT_NE(Cap.valueAt(1, "y"), nullptr);
+  ASSERT_TRUE(Cap.valueAt(1, "y"));
 #ifndef RETICLE_NO_TELEMETRY
   // Replaying the truncated capture still renders well-formed VCD.
   sim::VcdWriter W("mac");
@@ -563,16 +650,73 @@ TEST(WaveEngines, NetlistAndInterpreterAgreeOnSharedPorts) {
       continue;
     ++Shared;
     for (uint64_t C = 0; C < InterpCap.cycles(); ++C) {
-      const std::vector<bool> *A = InterpCap.valueAt(C, S.Name);
-      const std::vector<bool> *B = NetCap.valueAt(C, S.Name);
-      ASSERT_NE(A, nullptr) << S.Name << " cycle " << C;
-      ASSERT_NE(B, nullptr) << S.Name << " cycle " << C;
+      std::optional<std::vector<bool>> A = InterpCap.valueAt(C, S.Name);
+      std::optional<std::vector<bool>> B = NetCap.valueAt(C, S.Name);
+      ASSERT_TRUE(A) << S.Name << " cycle " << C;
+      ASSERT_TRUE(B) << S.Name << " cycle " << C;
       EXPECT_EQ(sim::bitsToString(*A), sim::bitsToString(*B))
           << S.Name << " cycle " << C;
     }
   }
   EXPECT_EQ(Shared, 5u); // a, b, c, en, y
 }
+
+#ifndef RETICLE_NO_TELEMETRY
+
+// A single-engine run streams straight into its sinks; --sim=both
+// captures and replays. Both paths must render the same bytes and bins.
+TEST(WaveEngines, DirectSinksMatchCaptureThenReplay) {
+  ir::Function Fn = parseOk(MacSource);
+  Trace In = macTrace();
+  core::CompileOptions Options;
+  Options.Dev = device::Device::small();
+  Result<core::CompileResult> R = core::compile(Fn, Options);
+  ASSERT_TRUE(R.ok()) << R.error();
+  Result<sim::Program> IrProg = sim::compile(Fn);
+  ASSERT_TRUE(IrProg.ok()) << IrProg.error();
+  Result<sim::Program> NetProg = sim::compile(R.value().Verilog);
+  ASSERT_TRUE(NetProg.ok()) << NetProg.error();
+
+  auto Run = [&](const std::string &Engine, sim::WaveSink *Sink) {
+    const obs::Context &Ctx = obs::defaultContext();
+    if (Engine == "interp")
+      return interp::interpret(Fn, In, Sink, Ctx);
+    if (Engine == "netlist")
+      return codegen::simulate(R.value().Verilog, In, Sink, Ctx);
+    return sim::execute(Engine == "vm-ir" ? IrProg.value() : NetProg.value(),
+                        In, Sink, Ctx);
+  };
+  for (const std::string Engine : {"interp", "netlist", "vm-ir", "vm-netlist"}) {
+    sim::VcdWriter Vcd("mac");
+    sim::WaveJsonWriter Json("mac", Engine);
+    obs::Coverage Cov;
+    sim::ToggleCoverageSink Toggles(Cov);
+    sim::WaveFanout Direct;
+    Direct.add(Vcd);
+    Direct.add(Json);
+    Direct.add(Toggles);
+    ASSERT_TRUE(Run(Engine, &Direct).ok()) << Engine;
+
+    WaveCapture Cap;
+    ASSERT_TRUE(Run(Engine, &Cap).ok()) << Engine;
+    sim::VcdWriter ReVcd("mac");
+    sim::WaveJsonWriter ReJson("mac", Engine);
+    obs::Coverage ReCov;
+    sim::ToggleCoverageSink ReToggles(ReCov);
+    for (sim::WaveSink *Out :
+         {static_cast<sim::WaveSink *>(&ReVcd),
+          static_cast<sim::WaveSink *>(&ReJson),
+          static_cast<sim::WaveSink *>(&ReToggles)})
+      ASSERT_TRUE(sim::replay({{&Cap, ""}}, *Out).ok()) << Engine;
+
+    EXPECT_EQ(Vcd.text(), ReVcd.text()) << Engine;
+    EXPECT_EQ(Json.text(), ReJson.text()) << Engine;
+    EXPECT_EQ(Cov.snapshot(), ReCov.snapshot()) << Engine;
+    EXPECT_FALSE(Cov.snapshot().at("sim.toggle").empty()) << Engine;
+  }
+}
+
+#endif // RETICLE_NO_TELEMETRY
 
 //===----------------------------------------------------------------------===//
 // The stats document's sim section

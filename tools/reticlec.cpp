@@ -622,11 +622,11 @@ int runExecute(const DriverArgs &Args) {
   bool RunVmIr = Both || Args.SimEngine == "vm-ir";
   bool RunVmNetlist = Both || Args.SimEngine == "vm-netlist";
   bool WantWave = !Args.VcdPath.empty() || !Args.WaveJsonPath.empty();
-  // Toggle coverage replays the same captures the waveform writers use,
-  // so a coverage or stats request keeps the captures alive too.
+  // Toggle coverage observes the same run the waveform writers do, so a
+  // coverage or stats request attaches observers too.
   bool WantCoverage =
       !Args.CoveragePath.empty() || !Args.StatsJsonPath.empty();
-  bool Capture = WantWave || WantCoverage;
+  bool Observe = WantWave || WantCoverage;
 
   // The compiled-simulation programs: the VM engines execute them, and
   // --dump-sim-program disassembles both regardless of engine selection.
@@ -649,19 +649,42 @@ int runExecute(const DriverArgs &Args) {
       return usageError(S.error());
   }
 
+  // The observers. A single engine streams straight into them through
+  // one fan-out sink. --sim=both runs the engines one after the other, so
+  // each run is captured and the captures are replayed afterwards as one
+  // interleaved, per-engine-prefixed stream.
+  std::string Top = std::filesystem::path(InputPath).stem().string();
+  if (Top.empty())
+    Top = "reticle";
+  sim::ToggleCoverageSink Toggles(Session.coverage());
+  sim::WaveFanout Observers;
+#ifndef RETICLE_NO_TELEMETRY
+  sim::VcdWriter Vcd(Top);
+  sim::WaveJsonWriter WaveJson(Top, Args.SimEngine);
+  if (!Args.VcdPath.empty())
+    Observers.add(Vcd);
+  if (!Args.WaveJsonPath.empty())
+    Observers.add(WaveJson);
+#endif
+  if (Observe)
+    Observers.add(Toggles);
+
   sim::WaveCapture InterpWave, NetlistWave, VmIrWave, VmNetlistWave;
+  auto SinkFor = [&](sim::WaveCapture &Cap) -> sim::WaveSink * {
+    if (Observers.empty())
+      return nullptr;
+    return Both ? static_cast<sim::WaveSink *>(&Cap) : &Observers;
+  };
   Result<interp::Trace> InterpOut = fail<interp::Trace>("not run");
   Result<interp::Trace> NetlistOut = fail<interp::Trace>("not run");
   Result<interp::Trace> VmIrOut = fail<interp::Trace>("not run");
   Result<interp::Trace> VmNetlistOut = fail<interp::Trace>("not run");
   if (RunInterp)
-    InterpOut = interp::interpret(Fn.value(), Drive,
-                                  Capture ? &InterpWave : nullptr,
+    InterpOut = interp::interpret(Fn.value(), Drive, SinkFor(InterpWave),
                                   Session.context());
   if (RunNetlist)
     NetlistOut = codegen::simulate(R.value().Verilog, Drive,
-                                   Capture ? &NetlistWave : nullptr,
-                                   Session.context());
+                                   SinkFor(NetlistWave), Session.context());
   // --profile-sim attaches the profiled executor to one VM engine: vm-ir
   // when it runs (the primary in --sim=both mode), vm-netlist otherwise.
   bool ProfileIr = !Args.ProfileSimPath.empty() && RunVmIr;
@@ -671,20 +694,18 @@ int runExecute(const DriverArgs &Args) {
     VmIrOut = !IrProgram ? fail<interp::Trace>(IrProgram.error())
               : ProfileIr
                   ? sim::execute(IrProgram.value(), Drive, Profile,
-                                 Capture ? &VmIrWave : nullptr,
-                                 Session.context())
+                                 SinkFor(VmIrWave), Session.context())
                   : sim::execute(IrProgram.value(), Drive,
-                                 Capture ? &VmIrWave : nullptr,
-                                 Session.context());
+                                 SinkFor(VmIrWave), Session.context());
   if (RunVmNetlist)
     VmNetlistOut = !NetProgram
                        ? fail<interp::Trace>(NetProgram.error())
                    : ProfileNet
                        ? sim::execute(NetProgram.value(), Drive, Profile,
-                                      Capture ? &VmNetlistWave : nullptr,
+                                      SinkFor(VmNetlistWave),
                                       Session.context())
                        : sim::execute(NetProgram.value(), Drive,
-                                      Capture ? &VmNetlistWave : nullptr,
+                                      SinkFor(VmNetlistWave),
                                       Session.context());
 
   // The sim profile flushes before the engine-failure checks below, so an
@@ -699,64 +720,29 @@ int runExecute(const DriverArgs &Args) {
         return usageError(S.error());
   }
 
-  auto CaptureSources =
-      [&]() -> std::vector<std::pair<const sim::WaveCapture *, std::string>> {
-    std::vector<std::pair<const sim::WaveCapture *, std::string>> Sources;
-    if (RunInterp)
-      Sources.push_back({&InterpWave, "interp"});
-    if (RunNetlist)
-      Sources.push_back({&NetlistWave, "netlist"});
-    if (RunVmIr)
-      Sources.push_back({&VmIrWave, "vm-ir"});
-    if (RunVmNetlist)
-      Sources.push_back({&VmNetlistWave, "vm-netlist"});
-    // A single engine streams unprefixed, matching the pre-VM layout.
-    if (Sources.size() == 1)
-      Sources.front().second = "";
-    return Sources;
-  };
-
-  // Dynamic toggle coverage: replay the captured run(s) — complete or
-  // aborted — into the session's coverage registry as per-signal-bit
-  // 0->1 / 1->0 bins, per-engine-prefixed in --sim=both mode. The stats
-  // document and the --coverage doc render afterwards, so both see the
-  // sim.toggle space.
-  if (Capture) {
-    sim::ToggleCoverageSink Toggles(Session.coverage());
-    if (Status S = sim::replay(CaptureSources(), Toggles); !S)
+  // Replay the --sim=both captures — complete or aborted — into the
+  // observers: toggle bins land in the session's coverage registry
+  // (per-engine-prefixed), so the stats document and the --coverage doc
+  // rendered afterwards both see the sim.toggle space, and partial
+  // captures replay with the aborted marker so the artifacts stay
+  // parseable.
+  if (Both && !Observers.empty()) {
+    std::vector<std::pair<const sim::WaveCapture *, std::string>> Sources =
+        {{&InterpWave, "interp"},
+         {&NetlistWave, "netlist"},
+         {&VmIrWave, "vm-ir"},
+         {&VmNetlistWave, "vm-netlist"}};
+    if (Status S = sim::replay(Sources, Observers); !S)
       return compileError(S.error());
   }
 
 #ifndef RETICLE_NO_TELEMETRY
-  // Waveforms are written from the in-memory captures after the run —
-  // including aborted runs, whose partial captures replay with the
-  // aborted marker so the artifacts stay parseable.
-  auto WriteWaves = [&]() -> Status {
-    if (!WantWave)
-      return Status::success();
-    std::vector<std::pair<const sim::WaveCapture *, std::string>> Sources =
-        CaptureSources();
-    std::string Top = std::filesystem::path(InputPath).stem().string();
-    if (Top.empty())
-      Top = "reticle";
-    if (!Args.VcdPath.empty()) {
-      sim::VcdWriter Vcd(Top);
-      if (Status S = sim::replay(Sources, Vcd); !S)
-        return S;
-      if (Status S = writeTextOutput(Args.VcdPath, Vcd.text()); !S)
-        return S;
-    }
-    if (!Args.WaveJsonPath.empty()) {
-      sim::WaveJsonWriter Wj(Top, Args.SimEngine.c_str());
-      if (Status S = sim::replay(Sources, Wj); !S)
-        return S;
-      if (Status S = writeTextOutput(Args.WaveJsonPath, Wj.text()); !S)
-        return S;
-    }
-    return Status::success();
-  };
-  if (Status S = WriteWaves(); !S)
-    return usageError(S.error());
+  if (!Args.VcdPath.empty())
+    if (Status S = writeTextOutput(Args.VcdPath, Vcd.text()); !S)
+      return usageError(S.error());
+  if (!Args.WaveJsonPath.empty())
+    if (Status S = writeTextOutput(Args.WaveJsonPath, WaveJson.text()); !S)
+      return usageError(S.error());
 #endif
 
   // Stats render after the run so the sim.* counters are populated.
