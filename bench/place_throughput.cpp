@@ -5,21 +5,20 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Measures the wall-clock of the placement shrink search (Section 5's
-/// area minimization) under the three solver strategies: `scratch`
-/// (historical behavior — a fresh SAT encoding per probe), `incremental`
-/// (one persistent solver answering every probe through the Kill-ladder
-/// assumptions, learnt clauses and activities carried across probes) and
-/// `portfolio` (the same persistent encoding raced by N diverse lanes
-/// with bounded clause exchange). Every FSM in the corpus is compiled
-/// through core::compileBatch once per mode, and the per-program rows
-/// record the probe mix (SAT-backed vs arithmetic precheck), the total
-/// and average per-probe solve time, and the clause-reuse counters the
-/// speedup comes from. The headline number is the `speedup` block:
-/// scratch-vs-incremental on the ~256-instruction FSM, where the
-/// acceptance bar is >= 1.5x. Portfolio is reported separately — its
-/// win condition is wall-clock on adversarial probes, not throughput on
-/// easy ones. Writes `BENCH_place.json` ("reticle-bench-v1") next to
-/// the binary.
+/// area minimization) under both solver strategies: `scratch` (historical
+/// behavior — a fresh SAT encoding per probe) and `incremental` (one
+/// persistent solver answering every probe through the Kill-ladder
+/// assumptions, learnt clauses and activities carried across probes).
+/// Every FSM in the corpus is compiled through core::compileBatch
+/// `Reps` times per mode, the modes interleaved run by run, and each row
+/// reports the median shrink/SAT time with its min and max alongside the
+/// probe mix (SAT-backed vs arithmetic precheck) and the clause-reuse
+/// counters the speedup comes from. The headline number is the `speedup`
+/// block: median scratch-vs-incremental shrink time on the
+/// ~256-instruction FSM, where the acceptance bar is >= 1.5x. Programs
+/// whose shrink search never reaches the solver report `n/a` (JSON null)
+/// instead of a ratio of near-zero times. Writes `BENCH_place.json`
+/// ("reticle-bench-v1") in the working directory.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,7 +30,9 @@
 #include "obs/Report.h"
 #include "place/Place.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -39,16 +40,14 @@ using namespace reticle;
 
 namespace {
 
+/// Corpus runs per mode; the reported times are medians over them.
+constexpr size_t Reps = 5;
+
+const place::SatMode Modes[] = {place::SatMode::Scratch,
+                                place::SatMode::Incremental};
+
 const char *modeName(place::SatMode Mode) {
-  switch (Mode) {
-  case place::SatMode::Scratch:
-    return "scratch";
-  case place::SatMode::Incremental:
-    return "incremental";
-  case place::SatMode::Portfolio:
-    return "portfolio";
-  }
-  return "?";
+  return Mode == place::SatMode::Scratch ? "scratch" : "incremental";
 }
 
 /// One (program, mode) measurement reduced to what the figure plots.
@@ -57,6 +56,29 @@ struct PlaceRun {
   std::string Error;
   double CompileMs = 0.0;
   place::PlacementStats Stats;
+};
+
+/// Median with its range over the repetitions of one (program, mode).
+struct Spread {
+  double Median = 0.0;
+  double Min = 0.0;
+  double Max = 0.0;
+};
+
+Spread spreadOf(std::vector<double> Samples) {
+  std::sort(Samples.begin(), Samples.end());
+  size_t N = Samples.size();
+  double Median = N % 2 ? Samples[N / 2]
+                        : (Samples[N / 2 - 1] + Samples[N / 2]) / 2.0;
+  return {Median, Samples.front(), Samples.back()};
+}
+
+/// Every repetition of one (program, mode): the first run carries the
+/// deterministic counters, the spreads carry the timings.
+struct ModeResult {
+  PlaceRun First;
+  Spread ShrinkMs;
+  Spread SatMs;
 };
 
 /// Compiles the whole corpus through core::compileBatch under one solver
@@ -94,40 +116,58 @@ runCorpus(const std::vector<std::pair<std::string, ir::Function>> &Corpus,
   return Out;
 }
 
+/// Reduces the repetitions of one program under one mode. A failure in
+/// any repetition fails the whole entry.
+ModeResult summarize(const std::vector<PlaceRun> &Runs) {
+  ModeResult M;
+  M.First = Runs.front();
+  std::vector<double> Shrink, Sat;
+  for (const PlaceRun &R : Runs) {
+    if (!R.Ok) {
+      M.First = R;
+      return M;
+    }
+    Shrink.push_back(R.Stats.ShrinkMs);
+    Sat.push_back(R.Stats.SatMs);
+  }
+  M.ShrinkMs = spreadOf(Shrink);
+  M.SatMs = spreadOf(Sat);
+  return M;
+}
+
 obs::Json rowFor(const std::string &Size, place::SatMode Mode,
-                 const PlaceRun &R) {
+                 const ModeResult &M) {
   obs::Json Row = obs::Json::object();
   Row.set("size", Size);
   Row.set("toolchain", std::string(modeName(Mode)));
-  Row.set("ok", R.Ok);
-  if (!R.Ok) {
-    Row.set("error", R.Error);
+  Row.set("ok", M.First.Ok);
+  if (!M.First.Ok) {
+    Row.set("error", M.First.Error);
     return Row;
   }
-  const place::PlacementStats &S = R.Stats;
-  // Timeline holds the initial solve plus every probe; the shrink search
-  // proper is everything after the first frame.
+  const place::PlacementStats &S = M.First.Stats;
   uint64_t Probes = S.IncrementalProbes + S.PrecheckProbes;
-  Row.set("compile_ms", R.CompileMs);
-  Row.set("shrink_ms", S.ShrinkMs);
-  Row.set("sat_ms", S.SatMs);
+  Row.set("reps", static_cast<uint64_t>(Reps));
+  Row.set("compile_ms", M.First.CompileMs);
+  Row.set("shrink_ms", M.ShrinkMs.Median);
+  Row.set("shrink_ms_min", M.ShrinkMs.Min);
+  Row.set("shrink_ms_max", M.ShrinkMs.Max);
+  Row.set("sat_ms", M.SatMs.Median);
+  Row.set("sat_ms_min", M.SatMs.Min);
+  Row.set("sat_ms_max", M.SatMs.Max);
   Row.set("probes", Probes);
   Row.set("sat_probes", S.IncrementalProbes);
   Row.set("precheck_probes", S.PrecheckProbes);
   Row.set("probe_ms_avg",
-          S.IncrementalProbes ? S.ShrinkMs / double(S.IncrementalProbes)
-                              : 0.0);
+          S.IncrementalProbes
+              ? M.ShrinkMs.Median / double(S.IncrementalProbes)
+              : 0.0);
   Row.set("encodes", S.IncrementalEncodes);
   Row.set("reused_clauses", S.ReusedClauses);
   Row.set("reused_learned", S.ReusedLearned);
   Row.set("conflicts", S.Conflicts);
   Row.set("max_column", uint64_t(S.MaxColumn));
   Row.set("max_row", uint64_t(S.MaxRow));
-  if (Mode == place::SatMode::Portfolio) {
-    Row.set("portfolio_rounds", S.PortfolioRounds);
-    Row.set("portfolio_exported", S.PortfolioExported);
-    Row.set("portfolio_imported", S.PortfolioImported);
-  }
   return Row;
 }
 
@@ -144,72 +184,80 @@ int main() {
   Corpus.emplace_back("fsm_32", frontend::makeFsm(32));
   Corpus.emplace_back("fsm_256", frontend::makeFsm(43));
 
-  const place::SatMode Modes[] = {place::SatMode::Scratch,
-                                  place::SatMode::Incremental,
-                                  place::SatMode::Portfolio};
+  // [mode][rep][program], modes interleaved per repetition so slow drift
+  // on the machine lands on both modes alike.
+  std::vector<std::vector<std::vector<PlaceRun>>> Raw(std::size(Modes));
+  for (size_t Rep = 0; Rep < Reps; ++Rep)
+    for (size_t M = 0; M < std::size(Modes); ++M)
+      Raw[M].push_back(runCorpus(Corpus, Modes[M]));
 
-  std::printf("Placement shrink-search throughput: FSM corpus on xczu3eg\n\n");
-  std::printf("  %-8s %-12s %10s %10s %7s %7s %10s %9s\n", "size", "mode",
-              "shrink ms", "sat ms", "probes", "satprb", "avg ms/prb",
-              "reused");
+  std::printf("Placement shrink-search throughput: FSM corpus on xczu3eg "
+              "(median of %zu runs)\n\n",
+              Reps);
+  std::printf("  %-8s %-12s %10s %21s %10s %7s %7s %10s %9s\n", "size",
+              "mode", "shrink ms", "[min, max]", "sat ms", "probes",
+              "satprb", "avg ms/prb", "reused");
 
   obs::Json Rows = obs::Json::array();
   // [mode][program] — kept for the speedup block below.
-  std::vector<std::vector<PlaceRun>> ByMode;
-  for (place::SatMode Mode : Modes) {
-    std::vector<PlaceRun> Runs = runCorpus(Corpus, Mode);
-    for (size_t I = 0; I < Runs.size(); ++I) {
-      const PlaceRun &R = Runs[I];
-      if (!R.Ok) {
+  std::vector<std::vector<ModeResult>> ByMode(std::size(Modes));
+  for (size_t M = 0; M < std::size(Modes); ++M) {
+    for (size_t I = 0; I < Corpus.size(); ++I) {
+      std::vector<PlaceRun> PerRep;
+      for (const std::vector<PlaceRun> &Runs : Raw[M])
+        PerRep.push_back(Runs[I]);
+      ModeResult R = summarize(PerRep);
+      if (!R.First.Ok) {
         std::printf("  %-8s %-12s FAILED: %s\n", Corpus[I].first.c_str(),
-                    modeName(Mode), R.Error.c_str());
+                    modeName(Modes[M]), R.First.Error.c_str());
       } else {
-        const place::PlacementStats &S = R.Stats;
+        const place::PlacementStats &S = R.First.Stats;
         std::printf(
-            "  %-8s %-12s %10.1f %10.1f %7llu %7llu %10.1f %9llu\n",
-            Corpus[I].first.c_str(), modeName(Mode), S.ShrinkMs, S.SatMs,
+            "  %-8s %-12s %10.1f [%8.1f, %8.1f] %10.1f %7llu %7llu %10.1f "
+            "%9llu\n",
+            Corpus[I].first.c_str(), modeName(Modes[M]), R.ShrinkMs.Median,
+            R.ShrinkMs.Min, R.ShrinkMs.Max, R.SatMs.Median,
             (unsigned long long)(S.IncrementalProbes + S.PrecheckProbes),
             (unsigned long long)S.IncrementalProbes,
-            S.IncrementalProbes ? S.ShrinkMs / double(S.IncrementalProbes)
-                                : 0.0,
+            S.IncrementalProbes
+                ? R.ShrinkMs.Median / double(S.IncrementalProbes)
+                : 0.0,
             (unsigned long long)S.ReusedClauses);
       }
-      Rows.push(rowFor(Corpus[I].first, Mode, R));
+      Rows.push(rowFor(Corpus[I].first, Modes[M], R));
+      ByMode[M].push_back(std::move(R));
     }
-    ByMode.push_back(std::move(Runs));
   }
 
-  // Speedup block: total shrink-phase wall-clock, scratch over each
-  // persistent mode, per program. The acceptance gate is the fsm_256
-  // incremental entry (>= 1.5x).
+  // Speedup block: median shrink-phase wall-clock, scratch over
+  // incremental, per program. The acceptance gate is the fsm_256 entry
+  // (>= 1.5x). A program with no SAT-backed probe has a shrink phase of
+  // prechecks only, so its ratio is noise and is reported as n/a.
   obs::Json Speedup = obs::Json::array();
-  std::printf("\n  %-8s %24s %24s\n", "size", "incremental_vs_scratch",
-              "portfolio_vs_scratch");
+  std::printf("\n  %-8s %24s\n", "size", "incremental_vs_scratch");
   bool GateOk = false;
   for (size_t I = 0; I < Corpus.size(); ++I) {
-    const PlaceRun &Scratch = ByMode[0][I];
-    const PlaceRun &Incr = ByMode[1][I];
-    const PlaceRun &Port = ByMode[2][I];
-    if (!Scratch.Ok || !Incr.Ok || !Port.Ok)
+    const ModeResult &Scratch = ByMode[0][I];
+    const ModeResult &Incr = ByMode[1][I];
+    if (!Scratch.First.Ok || !Incr.First.Ok)
       continue;
-    double IncrX = Incr.Stats.ShrinkMs > 0.0
-                       ? Scratch.Stats.ShrinkMs / Incr.Stats.ShrinkMs
-                       : 0.0;
-    double PortX = Port.Stats.ShrinkMs > 0.0
-                       ? Scratch.Stats.ShrinkMs / Port.Stats.ShrinkMs
-                       : 0.0;
     obs::Json E = obs::Json::object();
     E.set("size", Corpus[I].first);
-    E.set("scratch_shrink_ms", Scratch.Stats.ShrinkMs);
-    E.set("incremental_shrink_ms", Incr.Stats.ShrinkMs);
-    E.set("portfolio_shrink_ms", Port.Stats.ShrinkMs);
-    E.set("incremental_vs_scratch", IncrX);
-    E.set("portfolio_vs_scratch", PortX);
+    E.set("scratch_shrink_ms", Scratch.ShrinkMs.Median);
+    E.set("incremental_shrink_ms", Incr.ShrinkMs.Median);
+    if (Scratch.First.Stats.IncrementalProbes == 0) {
+      E.set("incremental_vs_scratch", obs::Json());
+      std::printf("  %-8s %24s\n", Corpus[I].first.c_str(), "n/a");
+    } else {
+      double IncrX = Incr.ShrinkMs.Median > 0.0
+                         ? Scratch.ShrinkMs.Median / Incr.ShrinkMs.Median
+                         : 0.0;
+      E.set("incremental_vs_scratch", IncrX);
+      std::printf("  %-8s %23.2fx\n", Corpus[I].first.c_str(), IncrX);
+      if (Corpus[I].first == "fsm_256" && IncrX >= 1.5)
+        GateOk = true;
+    }
     Speedup.push(std::move(E));
-    std::printf("  %-8s %23.2fx %23.2fx\n", Corpus[I].first.c_str(), IncrX,
-                PortX);
-    if (Corpus[I].first == "fsm_256" && IncrX >= 1.5)
-      GateOk = true;
   }
   std::printf("\n  fsm_256 incremental-vs-scratch gate (>= 1.5x): %s\n",
               GateOk ? "PASS" : "FAIL");
@@ -219,6 +267,7 @@ int main() {
   Doc.set("figure", "place");
   Doc.set("title",
           "Placement shrink-search solve time by SAT solver strategy");
+  Doc.set("reps", static_cast<uint64_t>(Reps));
   Doc.set("series", std::move(Rows));
   Doc.set("speedup", std::move(Speedup));
   std::string Path = "BENCH_place.json";

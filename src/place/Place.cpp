@@ -8,7 +8,6 @@
 
 #include "ir/DefUse.h"
 #include "obs/Context.h"
-#include "sat/Portfolio.h"
 #include "sat/Solver.h"
 
 #include <algorithm>
@@ -74,11 +73,8 @@ bool memberSlot(const Member &M, int64_t XBase, int64_t YBase,
 /// given, every emitted clause is guarded by it (clause ∨ ¬selector), so
 /// assuming the selector true enables the constraint and dropping the
 /// assumption switches the whole group off — the mechanism behind
-/// UNSAT-core extraction over named constraint groups. Templated over the
-/// backend so one encoding serves both a single sat::Solver and a
-/// sat::Portfolio (which mirrors clauses into every racing lane).
-template <typename SolverT>
-void addAtMostOne(SolverT &S, const std::vector<sat::Lit> &Lits,
+/// UNSAT-core extraction over named constraint groups.
+void addAtMostOne(sat::Solver &S, const std::vector<sat::Lit> &Lits,
                   std::optional<sat::Lit> Selector = std::nullopt) {
   auto Add = [&](std::vector<sat::Lit> Clause) {
     if (Selector)
@@ -127,8 +123,6 @@ private:
     /// True when the attempt reached the SAT solver (false: settled by an
     /// arithmetic precheck or an empty candidate range).
     bool SatBacked = false;
-    /// Winning portfolio lane, -1 outside Portfolio mode.
-    int Lane = -1;
   };
   /// One SAT attempt under the given bounds. On success fills
   /// \p Assignment with the chosen candidate per non-fixed cluster. A
@@ -162,7 +156,7 @@ private:
   /// solver is reused across probes.
   void accumulate(const sat::Solver::Statistics &D, bool BudgetHit);
 
-  /// Persistent shrink-search state (Incremental/Portfolio modes): one
+  /// Persistent shrink-search state (Incremental mode): one
   /// encoding built lazily at the first SAT-backed probe and reused —
   /// learned clauses, activities and saved phases included — for every
   /// probe after it. Area bounds are not re-encoded per probe; they are
@@ -178,8 +172,7 @@ private:
     /// high-row candidates there would prune layouts scratch mode can
     /// reach.
     Bounds Box{0, 0};
-    std::unique_ptr<sat::Solver> Inc;     // Incremental backend
-    std::unique_ptr<sat::Portfolio> Port; // Portfolio backend
+    std::unique_ptr<sat::Solver> Solver;
     /// Full-bounds candidates and their variables, per cluster.
     std::vector<std::vector<Candidate>> Cands;
     std::vector<std::vector<sat::Var>> Vars;
@@ -202,9 +195,9 @@ private:
   };
 
   /// Builds the persistent encoding (enumeration, constraints, ladders,
-  /// precheck table) into the mode's backend.
+  /// precheck table) into the persistent solver.
   Status buildPersistent();
-  template <typename SolverT> void encodePersistent(SolverT &S);
+  void encodePersistent(sat::Solver &S);
 
   /// One shrink probe against the persistent solver: prechecks, then a
   /// bounds-as-assumptions solve on the retained encoding.
@@ -631,7 +624,7 @@ static std::pair<unsigned, unsigned> candFootprint(const Cluster &C,
   return {MX, MY};
 }
 
-template <typename SolverT> void Placer::encodePersistent(SolverT &S) {
+void Placer::encodePersistent(sat::Solver &S) {
   // Identical constraint order to solveOnce's per-probe encoding: cluster
   // candidate variables with exactly-one + at-most-one, then slot
   // exclusivity. A bounded probe's encoding is this one minus the killed
@@ -716,31 +709,16 @@ Status Placer::buildPersistent() {
       Row[C] = std::min(Row[C], Row[C - 1]);
   }
 
-  if (Options.Mode == SatMode::Portfolio) {
-    sat::Portfolio::Options PO;
-    PO.Lanes = Options.PortfolioLanes;
-    Persist.Port = std::make_unique<sat::Portfolio>(PO, Ctx);
-    if (Options.Proof)
-      Persist.Port->setProof(Options.Proof);
-    encodePersistent(*Persist.Port);
-    Persist.ProblemClauses = Persist.Port->numClauses();
-    if (Stats) {
-      Stats->Vars = Persist.Port->numVars();
-      Stats->Clauses = static_cast<unsigned>(Persist.ProblemClauses);
-    }
-  } else {
-    Persist.Inc = std::make_unique<sat::Solver>(Ctx);
-    if (Options.Proof)
-      Persist.Inc->setProof(Options.Proof);
-    encodePersistent(*Persist.Inc);
-    Persist.ProblemClauses = Persist.Inc->numClauses();
-    if (Stats) {
-      Stats->Vars = Persist.Inc->numVars();
-      Stats->Clauses = static_cast<unsigned>(Persist.ProblemClauses);
-    }
-  }
-  if (Stats)
+  Persist.Solver = std::make_unique<sat::Solver>(Ctx);
+  if (Options.Proof)
+    Persist.Solver->setProof(Options.Proof);
+  encodePersistent(*Persist.Solver);
+  Persist.ProblemClauses = Persist.Solver->numClauses();
+  if (Stats) {
+    Stats->Vars = Persist.Solver->numVars();
+    Stats->Clauses = static_cast<unsigned>(Persist.ProblemClauses);
     ++Stats->IncrementalEncodes;
+  }
   Ctx.counter("sat.incremental.encodes") += 1;
   Persist.Built = true;
   Sp.arg("clauses", static_cast<uint64_t>(Persist.ProblemClauses));
@@ -779,9 +757,8 @@ Placer::Attempt Placer::probe(const Bounds &B,
     }
   }
 
-  const bool UsePortfolio = Options.Mode == SatMode::Portfolio;
-  size_t TotalClauses =
-      UsePortfolio ? Persist.Port->numClauses() : Persist.Inc->numClauses();
+  sat::Solver &S = *Persist.Solver;
+  size_t TotalClauses = S.numClauses();
   if (Stats) {
     ++Stats->Solves;
     Stats->ReusedClauses += Persist.ProblemClauses;
@@ -790,8 +767,7 @@ Placer::Attempt Placer::probe(const Bounds &B,
   Ctx.counter("sat.incremental.reused_clauses") += Persist.ProblemClauses;
   Ctx.counter("sat.incremental.reused_learned") +=
       TotalClauses - Persist.ProblemClauses;
-  Sp.arg("vars", static_cast<uint64_t>(UsePortfolio ? Persist.Port->numVars()
-                                                    : Persist.Inc->numVars()));
+  Sp.arg("vars", static_cast<uint64_t>(S.numVars()));
 
   // The probe's bounds are two assumption literals at most: ban the
   // column/row suffix beyond the tried bound. Everything else — clauses,
@@ -802,21 +778,10 @@ Placer::Attempt Placer::probe(const Bounds &B,
   if (B.MaxRow < Persist.Box.MaxRow)
     Assumps.push_back(sat::Lit(Persist.RowKill[B.MaxRow + 1]));
 
-  sat::Outcome O;
-  sat::Solver::Statistics D;
-  if (UsePortfolio) {
-    O = Persist.Port->solveWith(Assumps, ConflictBudget);
-    D = Persist.Port->lastDelta();
-    // SatMs is wall-clock: the race's wall time, not the winner's summed
-    // CPU quanta.
-    D.SolveMs = Persist.Port->lastProfile().TimeMs;
-    if (Info && O != sat::Outcome::Unknown)
-      Info->Lane = static_cast<int>(Persist.Port->winnerLane());
-  } else {
-    const sat::Solver::Statistics StatsBefore = Persist.Inc->stats();
-    O = Persist.Inc->solveWith(Assumps, ConflictBudget);
-    D = sat::Solver::Statistics::delta(Persist.Inc->stats(), StatsBefore);
-  }
+  const sat::Solver::Statistics StatsBefore = S.stats();
+  sat::Outcome O = S.solveWith(Assumps, ConflictBudget);
+  sat::Solver::Statistics D = sat::Solver::Statistics::delta(S.stats(),
+                                                             StatsBefore);
   accumulate(D, O == sat::Outcome::Unknown);
   if (Info) {
     Info->Conflicts = D.Conflicts;
@@ -828,11 +793,9 @@ Placer::Attempt Placer::probe(const Bounds &B,
   // Re-arm the ladder phases: search may have saved a true phase on a
   // kill variable; the next probe must again reach them last and false.
   for (sat::Var V : Persist.ColKill)
-    UsePortfolio ? Persist.Port->setPhase(V, false)
-                 : Persist.Inc->setPhase(V, false);
+    S.setPhase(V, false);
   for (sat::Var V : Persist.RowKill)
-    UsePortfolio ? Persist.Port->setPhase(V, false)
-                 : Persist.Inc->setPhase(V, false);
+    S.setPhase(V, false);
 
   if (O != sat::Outcome::Sat) {
     Sp.arg("outcome", O == sat::Outcome::Unsat ? "unsat" : "budget_exhausted");
@@ -845,9 +808,7 @@ Placer::Attempt Placer::probe(const Bounds &B,
   for (size_t I = 0; I < Clusters.size(); ++I) {
     bool Chosen = false;
     for (size_t K = 0; K < Persist.Vars[I].size(); ++K) {
-      bool Val = UsePortfolio ? Persist.Port->value(Persist.Vars[I][K])
-                              : Persist.Inc->value(Persist.Vars[I][K]);
-      if (Val) {
+      if (S.value(Persist.Vars[I][K])) {
         Assignment[I] = Persist.Cands[I][K];
         Chosen = true;
         break;
@@ -1018,7 +979,6 @@ Result<AsmProgram> Placer::run() {
     P.Result = Oc;
     P.Conflicts = SI.Conflicts;
     P.Decisions = SI.Decisions;
-    P.Lane = SI.Lane;
     for (const Candidate &Cand : BestAssignment)
       for (const device::Slot &S : Cand.Slots)
         P.Slots.push_back(S);
@@ -1043,8 +1003,8 @@ Result<AsmProgram> Placer::run() {
 
   // Shrinking passes: take the used area as the bound and binary-search a
   // smaller one, re-running placement (Section 5.3). Scratch mode rebuilds
-  // the encoding per probe; Incremental/Portfolio probe one persistent
-  // solver with bounds as assumptions.
+  // the encoding per probe; Incremental probes one persistent solver with
+  // bounds as assumptions.
   auto ShrinkT0 = std::chrono::steady_clock::now();
   if (Options.Shrink && !Clusters.empty()) {
     // Bounds needed by the placeable clusters alone. Fixed (pinned) slots
@@ -1103,8 +1063,8 @@ Result<AsmProgram> Placer::run() {
         if (Stats) {
           if (Info.SatBacked) {
             ++Stats->IncrementalProbes;
-            // Scratch re-encodes per SAT-backed probe; the persistent
-            // modes count their one build inside buildPersistent().
+            // Scratch re-encodes per SAT-backed probe; Incremental counts
+            // its one build inside buildPersistent().
             if (Options.Mode == SatMode::Scratch)
               ++Stats->IncrementalEncodes;
           } else {
@@ -1126,27 +1086,21 @@ Result<AsmProgram> Placer::run() {
         // Per-probe conflict/decision counts come from the solver's delta
         // profile, which survives budget-exhausted (Unknown) outcomes, so
         // a probe that gave up still reports the work it did.
-        if (Ctx.remarksEnabled()) {
-          obs::Remark R(Ctx, "place", "shrink-probe");
-          R.message(std::string("shrink ") +
-                    (Axis == 0 ? "columns" : "rows") + " to <= " +
-                    std::to_string(Mid) +
-                    (A == Attempt::Sat
-                         ? ": SAT, layout fits"
-                         : Info.BudgetExhausted
-                               ? ": conflict budget exhausted, bound kept"
-                               : ": UNSAT, bound kept"))
+        if (Ctx.remarksEnabled())
+          obs::Remark(Ctx, "place", "shrink-probe")
+              .message(std::string("shrink ") +
+                       (Axis == 0 ? "columns" : "rows") + " to <= " +
+                       std::to_string(Mid) +
+                       (A == Attempt::Sat
+                            ? ": SAT, layout fits"
+                            : Info.BudgetExhausted
+                                  ? ": conflict budget exhausted, bound kept"
+                                  : ": UNSAT, bound kept"))
               .arg("axis", Axis == 0 ? "col" : "row")
               .arg("bound", Mid)
               .arg("outcome", OutcomeName)
               .arg("conflicts", Info.Conflicts)
               .arg("decisions", Info.Decisions);
-          // Attribute the probe to the racing lane that decided it; only
-          // Portfolio mode has lanes, so the key stays absent elsewhere
-          // and single-solver remark streams are unchanged.
-          if (Info.Lane >= 0)
-            R.arg("lane", static_cast<uint64_t>(Info.Lane));
-        }
         if (A == Attempt::Sat) {
           BestAssignment = std::move(Assignment);
           High = std::min(Mid, Axis == 0
@@ -1166,18 +1120,10 @@ Result<AsmProgram> Placer::run() {
       (Axis == 0 ? Cur.MaxColumn : Cur.MaxRow) = High;
     }
   }
-  if (Stats) {
+  if (Stats)
     Stats->ShrinkMs = std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - ShrinkT0)
                           .count();
-    if (Persist.Port) {
-      const sat::Portfolio::Statistics &PS = Persist.Port->stats();
-      Stats->PortfolioRounds = PS.Rounds;
-      Stats->PortfolioExported = PS.Exported;
-      Stats->PortfolioImported = PS.Imported;
-      Stats->PortfolioWins = PS.WinsByLane;
-    }
-  }
 
   // Materialize the placed program.
   AsmProgram Placed(Prog.name());

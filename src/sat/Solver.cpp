@@ -14,20 +14,14 @@
 using namespace reticle;
 using namespace reticle::sat;
 
-Solver::Solver(const obs::Context &Ctx) : Ctx(Ctx) {}
-
-Solver::Solver(const Config &Cfg, const obs::Context &Ctx)
-    : Cfg(Cfg), Ctx(Ctx) {}
-
 namespace {
-/// splitmix64: a stateless deterministic scrambler for hashed phase init.
-uint64_t phaseHash(uint64_t Seed, Var V) {
-  uint64_t Z = Seed + 0x9e3779b97f4a7c15ull * (uint64_t(V) + 1);
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
-  return Z ^ (Z >> 31);
-}
+/// VSIDS decay: each conflict divides the activity increment by this.
+constexpr double VarDecay = 0.95;
+/// Luby restart unit, in conflicts.
+constexpr uint64_t RestartBase = 64;
 } // namespace
+
+Solver::Solver(const obs::Context &Ctx) : Ctx(Ctx) {}
 
 Var Solver::newVar() {
   Var V = VarCount++;
@@ -38,19 +32,8 @@ Var Solver::newVar() {
   // Default phase true: for one-hot encodings (e.g. placement slots) the
   // first decision then *selects* the earliest candidate instead of
   // excluding candidates one by one, which yields compact first-fit-like
-  // models. Portfolio lanes diversify this through Config::Phase.
-  bool Phase = true;
-  switch (Cfg.Phase) {
-  case Config::PhaseInit::True:
-    break;
-  case Config::PhaseInit::False:
-    Phase = false;
-    break;
-  case Config::PhaseInit::Hashed:
-    Phase = phaseHash(Cfg.Seed, V) & 1;
-    break;
-  }
-  SavedPhase.push_back(Phase);
+  // models.
+  SavedPhase.push_back(true);
   Seen.push_back(0);
   HeapPos.push_back(-1);
   Watches.emplace_back();
@@ -102,60 +85,6 @@ bool Solver::addClause(std::vector<Lit> Lits) {
   }
   Clause C;
   C.Lits = std::move(Out);
-  Clauses.push_back(std::move(C));
-  attachClause(static_cast<ClauseRef>(Clauses.size() - 1));
-  return true;
-}
-
-bool Solver::importClause(const std::vector<Lit> &Lits) {
-  assert(TrailLimits.empty() && "imports happen at the root, between solves");
-  if (!OkFlag)
-    return false;
-  // Same simplification as addClause: the exporter's clause is formula-
-  // implied, so dropping root-false literals and root-satisfied copies is
-  // sound against this solver's root trail too. No proof line is emitted —
-  // in a merged portfolio log the exporting lane already logged the
-  // addition.
-  std::vector<Lit> Sorted = Lits;
-  std::sort(Sorted.begin(), Sorted.end(),
-            [](Lit A, Lit B) { return A.index() < B.index(); });
-  std::vector<Lit> Out;
-  Out.reserve(Sorted.size());
-  for (size_t I = 0; I < Sorted.size(); ++I) {
-    Lit L = Sorted[I];
-    assert(L.var() < VarCount && "imported literal over unknown variable");
-    if (I + 1 < Sorted.size() && Sorted[I + 1] == ~L)
-      return true; // tautology
-    if (I > 0 && L == Sorted[I - 1])
-      continue;
-    LBool V = litValue(L);
-    if (V == LBool::True)
-      return true; // already satisfied at the root
-    if (V == LBool::False)
-      continue;
-    Out.push_back(L);
-  }
-  ++Stats.Imported;
-  if (Out.empty()) {
-    OkFlag = false;
-    if (Proof)
-      Proof->addEmpty();
-    return false;
-  }
-  if (Out.size() == 1) {
-    enqueue(Out[0], NoReason);
-    if (propagate() != NoReason) {
-      OkFlag = false;
-      if (Proof)
-        Proof->addEmpty();
-      return false;
-    }
-    return true;
-  }
-  Clause C;
-  C.Lits = std::move(Out);
-  C.Learned = true;
-  C.Activity = ClauseInc;
   Clauses.push_back(std::move(C));
   attachClause(static_cast<ClauseRef>(Clauses.size() - 1));
   return true;
@@ -251,7 +180,7 @@ void Solver::bumpClause(Clause &C) {
 }
 
 void Solver::decayActivities() {
-  VarInc /= Cfg.VarDecay;
+  VarInc /= VarDecay;
   ClauseInc /= 0.999;
 }
 
@@ -601,7 +530,7 @@ Outcome Solver::solveImpl(const std::vector<Lit> *Assumptions,
       ConflictBudget ? Stats.Conflicts + ConflictBudget : UINT64_MAX;
   uint64_t MaxLearned = Clauses.size() / 3 + 512;
   uint32_t RestartCount = 0;
-  uint64_t RestartBudget = Cfg.RestartBase * luby(RestartCount);
+  uint64_t RestartBudget = RestartBase * luby(RestartCount);
   uint64_t ConflictsHere = 0;
   std::vector<Lit> Learnt;
 
@@ -628,8 +557,6 @@ Outcome Solver::solveImpl(const std::vector<Lit> *Assumptions,
       recordLearnt(Learnt);
       if (Proof)
         Proof->add(Learnt);
-      if (Export && Learnt.size() <= ClauseExportBuffer::MaxLits)
-        Export->tryPush(Learnt.data(), Learnt.size());
       backtrack(BackLevel);
       if (Learnt.size() == 1) {
         enqueue(Learnt[0], NoReason);
@@ -654,7 +581,7 @@ Outcome Solver::solveImpl(const std::vector<Lit> *Assumptions,
       ++Stats.Restarts;
       ++RestartCount;
       ConflictsHere = 0;
-      RestartBudget = Cfg.RestartBase * luby(RestartCount);
+      RestartBudget = RestartBase * luby(RestartCount);
       backtrack(0);
       continue;
     }

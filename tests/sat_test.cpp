@@ -5,12 +5,14 @@
 //===----------------------------------------------------------------------===//
 
 #include "sat/Dimacs.h"
-#include "sat/Portfolio.h"
 #include "sat/Solver.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <random>
+#include <sstream>
 
 using namespace reticle;
 using namespace reticle::sat;
@@ -56,6 +58,105 @@ bool bruteForce(uint32_t NumVars,
       return true;
   }
   return false;
+}
+
+/// Sorted, duplicate-free copy of a clause: the checker's canonical form,
+/// so deletions match additions regardless of the solver's literal order.
+std::vector<Lit> canonical(std::vector<Lit> C) {
+  std::sort(C.begin(), C.end(),
+            [](Lit A, Lit B) { return A.index() < B.index(); });
+  C.erase(std::unique(C.begin(), C.end()), C.end());
+  return C;
+}
+
+/// True when assigning every literal of \p C false and unit-propagating
+/// over \p Clauses reaches a conflict (reverse unit propagation).
+bool isRup(uint32_t NumVars, const std::vector<std::vector<Lit>> &Clauses,
+           const std::vector<Lit> &C) {
+  std::vector<LBool> Val(NumVars, LBool::Undef);
+  auto ValueOf = [&](Lit L) {
+    LBool V = Val[L.var()];
+    if (V == LBool::Undef)
+      return V;
+    return (V == LBool::True) != L.negated() ? LBool::True : LBool::False;
+  };
+  auto Assign = [&](Lit L) {
+    Val[L.var()] = L.negated() ? LBool::False : LBool::True;
+  };
+  for (Lit L : C) {
+    if (ValueOf(L) == LBool::True)
+      return true; // tautology
+    Assign(~L);
+  }
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (const std::vector<Lit> &D : Clauses) {
+      size_t Open = 0;
+      Lit Last;
+      bool Satisfied = false;
+      for (Lit L : D) {
+        LBool V = ValueOf(L);
+        if (V == LBool::True) {
+          Satisfied = true;
+          break;
+        }
+        if (V == LBool::Undef) {
+          ++Open;
+          Last = L;
+        }
+      }
+      if (Satisfied)
+        continue;
+      if (Open == 0)
+        return true;
+      if (Open == 1) {
+        Assign(Last);
+        Changed = true;
+      }
+    }
+  }
+  return false;
+}
+
+/// Line counts of one replayed proof log; Failed counts non-RUP additions.
+struct RupReport {
+  size_t Added = 0;
+  size_t Deleted = 0;
+  size_t Failed = 0;
+};
+
+/// Replays a ProofWriter log against \p Formula: "c" lines are skipped,
+/// "d" lines remove a live clause (which must exist), and every other
+/// line is an addition that must be RUP w.r.t. the live clauses.
+RupReport checkProof(uint32_t NumVars, std::vector<std::vector<Lit>> Formula,
+                     const std::string &Log) {
+  for (std::vector<Lit> &C : Formula)
+    C = canonical(std::move(C));
+  RupReport R;
+  std::istringstream In(Log);
+  for (std::string Line; std::getline(In, Line);) {
+    if (Line.rfind("c", 0) == 0)
+      continue;
+    bool Deletion = Line.rfind("d ", 0) == 0;
+    std::istringstream Nums(Deletion ? Line.substr(2) : Line);
+    std::vector<Lit> C;
+    for (long N; Nums >> N && N != 0;)
+      C.push_back(Lit(static_cast<Var>(std::labs(N) - 1), N < 0));
+    C = canonical(std::move(C));
+    if (Deletion) {
+      auto It = std::find(Formula.begin(), Formula.end(), C);
+      EXPECT_NE(It, Formula.end()) << "deletion of a clause never added";
+      if (It != Formula.end())
+        Formula.erase(It);
+      ++R.Deleted;
+      continue;
+    }
+    ++R.Added;
+    if (!isRup(NumVars, Formula, C))
+      ++R.Failed;
+    Formula.push_back(std::move(C));
+  }
+  return R;
 }
 
 } // namespace
@@ -530,24 +631,6 @@ TEST(Sat, SetPhaseSteersTheFirstModel) {
   }
 }
 
-TEST(Sat, ImportClauseActsLikeALearnedClause) {
-  // An imported clause constrains the search (portfolio sharing), and a
-  // root-refuting import reports failure.
-  Solver S;
-  Var A = S.newVar(), B = S.newVar();
-  ASSERT_TRUE(S.addClause({Lit(A), Lit(B)}));
-  ASSERT_TRUE(S.importClause({Lit(A, true), Lit(B)}));
-  ASSERT_EQ(S.solve(), Outcome::Sat);
-  EXPECT_TRUE(S.value(B));
-  EXPECT_EQ(S.stats().Imported, 1u);
-
-  Solver T;
-  Var C = T.newVar();
-  ASSERT_TRUE(T.addUnit(Lit(C)));
-  EXPECT_FALSE(T.importClause({Lit(C, true)}));
-  EXPECT_EQ(T.solve(), Outcome::Unsat);
-}
-
 TEST(Sat, ProofWriterRecordsRefutation) {
   // The DRAT-style log of an UNSAT run ends in the empty clause and
   // carries every learnt addition in DIMACS notation.
@@ -571,60 +654,79 @@ TEST(Sat, ProofWriterRecordsRefutation) {
   EXPECT_TRUE(Proof.str().empty());
 }
 
-TEST(Sat, ClauseExportBufferIsBoundedAndCounted) {
-  ClauseExportBuffer Buf;
-  std::vector<Lit> Short = {Lit(Var(0)), Lit(Var(1), true)};
-  std::vector<Lit> Long(ClauseExportBuffer::MaxLits + 1, Lit(Var(0)));
-  EXPECT_FALSE(Buf.tryPush(Long.data(), Long.size()));
-  for (size_t I = 0; I < ClauseExportBuffer::Capacity; ++I)
-    EXPECT_TRUE(Buf.tryPush(Short.data(), Short.size()));
-  EXPECT_FALSE(Buf.tryPush(Short.data(), Short.size()));
-  EXPECT_EQ(Buf.size(), ClauseExportBuffer::Capacity);
-  EXPECT_EQ(Buf.dropped(), 1u);
-  EXPECT_EQ(Buf.litCount(0), 2u);
-  EXPECT_EQ(Buf.lits(0)[0], Short[0]);
-  Buf.clear();
-  EXPECT_EQ(Buf.size(), 0u);
-  EXPECT_EQ(Buf.dropped(), 0u);
+TEST(Sat, RupCheckerRejectsAnUnimpliedClause) {
+  // (x1 | x2) does not imply x1: the checker must flag the addition.
+  RupReport R = checkProof(2, {{Lit(0), Lit(1)}}, "1 0\n");
+  EXPECT_EQ(R.Added, 1u);
+  EXPECT_EQ(R.Failed, 1u);
 }
 
-TEST(Sat, PortfolioAgreesWithReferenceAndAttributesWinner) {
-  // A 4-lane race decides like a single solver and names a winner lane;
-  // lane diversification must not change verdicts.
-  sat::Portfolio::Options Opts;
-  Opts.Lanes = 4;
-  Opts.RoundConflicts = 16;
-  sat::Portfolio Port(Opts);
-  Var A = Port.newVar(), B = Port.newVar(), C = Port.newVar();
-  ASSERT_TRUE(Port.addClause({Lit(A), Lit(B)}));
-  ASSERT_TRUE(Port.addBinary(Lit(A, true), Lit(C)));
-  ASSERT_TRUE(Port.addBinary(Lit(B, true), Lit(C)));
-  ASSERT_EQ(Port.solveWith({}), Outcome::Sat);
-  EXPECT_TRUE(Port.value(C));
-  EXPECT_LT(Port.winnerLane(), 4u);
-  EXPECT_EQ(Port.stats().Solves, 1u);
-  EXPECT_EQ(Port.stats().WinsByLane[Port.winnerLane()], 1u);
-
-  // Under assumptions forcing ~C the race refutes and surfaces the core.
-  ASSERT_EQ(Port.solveWith({Lit(C, true), Lit(A)}), Outcome::Unsat);
-  EXPECT_FALSE(Port.unsatCore().empty());
-}
-
-TEST(Sat, PortfolioLaneConfigsAreDiverseAndDeterministic) {
-  // Lane 0 is the reference configuration; later lanes differ from it in
-  // at least one policy knob, and the mapping is stable.
-  Solver::Config Ref = sat::Portfolio::laneConfig(0);
-  EXPECT_EQ(Ref.VarDecay, Solver::Config().VarDecay);
-  EXPECT_EQ(Ref.RestartBase, Solver::Config().RestartBase);
-  EXPECT_EQ(Ref.Phase, Solver::Config().Phase);
-  for (unsigned I = 1; I < 4; ++I) {
-    Solver::Config C = sat::Portfolio::laneConfig(I);
-    EXPECT_NE(C.Seed, Ref.Seed);
-    EXPECT_TRUE(C.VarDecay != Ref.VarDecay ||
-                C.RestartBase != Ref.RestartBase || C.Phase != Ref.Phase);
-    Solver::Config Again = sat::Portfolio::laneConfig(I);
-    EXPECT_EQ(C.Seed, Again.Seed);
-    EXPECT_EQ(C.VarDecay, Again.VarDecay);
-    EXPECT_EQ(C.RestartBase, Again.RestartBase);
+TEST(Sat, ProofLogIsRupAcrossClauseDeletion) {
+  // PHP(7,6) learns enough clauses to trigger reduceDb, so the log carries
+  // deletions; every addition after them must still be RUP against the
+  // clauses that remain live.
+  constexpr unsigned Pigeons = 7, Holes = 6;
+  Solver S;
+  ProofWriter Proof;
+  S.setProof(&Proof);
+  std::vector<std::vector<Lit>> Formula;
+  for (unsigned I = 0; I < Pigeons * Holes; ++I)
+    S.newVar();
+  auto P = [&](unsigned I, unsigned J) { return Lit(I * Holes + J); };
+  for (unsigned I = 0; I < Pigeons; ++I) {
+    std::vector<Lit> AtLeastOne;
+    for (unsigned J = 0; J < Holes; ++J)
+      AtLeastOne.push_back(P(I, J));
+    Formula.push_back(AtLeastOne);
   }
+  for (unsigned J = 0; J < Holes; ++J)
+    for (unsigned I1 = 0; I1 < Pigeons; ++I1)
+      for (unsigned I2 = I1 + 1; I2 < Pigeons; ++I2)
+        Formula.push_back({~P(I1, J), ~P(I2, J)});
+  for (const std::vector<Lit> &C : Formula)
+    ASSERT_TRUE(S.addClause(C));
+  ASSERT_EQ(S.solve(), Outcome::Unsat);
+  ASSERT_GE(Proof.deleted(), 1u);
+  RupReport R = checkProof(S.numVars(), Formula, Proof.str());
+  EXPECT_EQ(R.Added, Proof.added());
+  EXPECT_EQ(R.Deleted, Proof.deleted());
+  EXPECT_EQ(R.Failed, 0u);
+}
+
+TEST(Sat, ProofLogIsRupUnderAssumptions) {
+  // Random 3-SAT near the phase transition, solved through several
+  // solveWith() calls with a mix of Sat and Unsat outcomes: the learnt
+  // clauses and the logged assumption-core clauses must all be RUP.
+  constexpr uint32_t NumVars = 50;
+  size_t Cores = 0;
+  for (unsigned Seed = 0; Seed < 20; ++Seed) {
+    std::mt19937 Rng(Seed);
+    std::uniform_int_distribution<uint32_t> VarDist(0, NumVars - 1);
+    std::uniform_int_distribution<int> SignDist(0, 1);
+    Solver S;
+    ProofWriter Proof;
+    S.setProof(&Proof);
+    for (uint32_t V = 0; V < NumVars; ++V)
+      S.newVar();
+    std::vector<std::vector<Lit>> Formula;
+    for (uint32_t I = 0; I < 210; ++I) {
+      std::vector<Lit> Clause;
+      for (int K = 0; K < 3; ++K)
+        Clause.push_back(Lit(VarDist(Rng), SignDist(Rng) != 0));
+      Formula.push_back(Clause);
+      S.addClause(Clause);
+    }
+    for (int Round = 0; Round < 6; ++Round) {
+      std::vector<Lit> Assumps;
+      for (int K = 0; K < 3; ++K)
+        Assumps.push_back(Lit(VarDist(Rng), SignDist(Rng) != 0));
+      Proof.comment("solve " + std::to_string(Round));
+      if (S.solveWith(Assumps) == Outcome::Unsat && !S.unsatCore().empty())
+        ++Cores;
+    }
+    RupReport R = checkProof(NumVars, Formula, Proof.str());
+    EXPECT_EQ(R.Added, Proof.added()) << "seed " << Seed;
+    EXPECT_EQ(R.Failed, 0u) << "seed " << Seed;
+  }
+  EXPECT_GT(Cores, 0u);
 }
