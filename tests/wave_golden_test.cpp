@@ -45,6 +45,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace reticle;
@@ -213,8 +214,11 @@ Artifacts replayed(const Subject &S, const std::vector<std::string> &Engines,
   return {Vcd.text(), Wave.text(), coverageText(S.Name, Cov), C.json()};
 }
 
+// std::string rather than const char * parameters: gtest prints a char
+// pointer inside a tuple with its address, and CTest copies that printout
+// into the test name, which would then change from one build to the next.
 class WaveGolden
-    : public ::testing::TestWithParam<std::tuple<const char *, const char *>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string>> {
 };
 
 TEST_P(WaveGolden, DirectAndReplayedSinksMatchTheGoldens) {
@@ -242,8 +246,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values("fsm_5", "tensordot_3"),
                        ::testing::Values("vm-ir", "vm-netlist")),
     [](const auto &Info) {
-      std::string Name = std::string(std::get<0>(Info.param)) + "_" +
-                         std::get<1>(Info.param);
+      std::string Name =
+          std::get<0>(Info.param) + "_" + std::get<1>(Info.param);
       for (char &C : Name)
         if (C == '-')
           C = '_';
