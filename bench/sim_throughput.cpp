@@ -52,7 +52,7 @@ namespace {
 
 /// Cycles per engine call, and the minimum measured time per row.
 constexpr size_t Cycles = 256;
-constexpr double MinRowMs = 200.0;
+constexpr double RowFloorMs = 200.0;
 
 /// The observability targets: observed wall time per cycle over bare.
 constexpr double VcdTarget = 2.0;
@@ -134,7 +134,7 @@ int main() {
   }
 
   std::printf("Simulation throughput: %zu-cycle calls, >= %.0f ms per row\n\n",
-              Cycles, MinRowMs);
+              Cycles, RowFloorMs);
   std::printf("  %-13s %-10s %-9s %10s %14s %22s\n", "program", "engine",
               "mode", "ms", "cycles/sec", "vs tree / vs bare");
 
@@ -155,7 +155,7 @@ int main() {
     uint64_t VcdBytes = 0;
     sim::VmProfile Prof;
     Result<Trace> Out = fail<Trace>("not run");
-    while (Ms < MinRowMs) {
+    while (Ms < RowFloorMs) {
       obs::Coverage Cov;
       sim::ToggleCoverageSink Toggles(Cov);
       sim::WaveSink *Sink = Mode == "coverage" ? &Toggles : nullptr;

@@ -3,8 +3,9 @@
 # drive the compiler end to end and validate every machine-readable
 # artifact it emits (stats, trace, remarks, snapshot manifest, batch
 # summary) with json_check, including a remark_diff of two identical
-# runs to pin down pipeline determinism (once on mac.ret and once on
-# fsm_shrink.ret, whose shrink probes reach the SAT solver), a
+# runs to pin down pipeline determinism (on mac.ret, and on
+# fsm_shrink.ret, whose shrink probes get past the prechecks, under
+# both --sat-solver modes), a
 # coverage_diff of the merged example-program coverage against the
 # checked-in golden (tests/goldens/coverage.json), and a profile_diff
 # of two identical profiled VM runs to pin down hot-set determinism.
@@ -47,8 +48,8 @@ trap 'rm -rf "$out"' EXIT
     --require=timings.total_ms --require=timings.parse_ms \
     --require=place.sat.decisions \
     --require=sat.solver_mode --require=sat.shrink_ms \
-    --require=sat.incremental.probes --require=sat.incremental.encodes \
-    --require=sat.incremental.reused_clauses \
+    --require=sat.shrink.probes --require=sat.shrink.precheck_probes \
+    --require=sat.cnf_solves \
     --require=utilization.luts "$out/stats.json"
 "$build/tools/json_check" --require=traceEvents "$out/trace.json"
 "$build/tools/json_check" --require=schema \
@@ -86,17 +87,21 @@ echo "== remark ratchet (golden stream for mac.ret) =="
 echo "== solver determinism (remark_diff on two runs with SAT probes) =="
 # mac.ret settles every shrink probe arithmetically, so the gate above
 # never reaches the solver. fsm_shrink.ret has real SAT-backed shrink
-# probes; two runs under the default solver must emit byte-identical
-# remark streams, shrink-probe remarks included.
-"$build/tools/reticlec" --device=small --emit=placed -o /dev/null \
-    --remarks-json="$out/probes-a.jsonl" \
-    "$repo/tests/inputs/fsm_shrink.ret"
-"$build/tools/reticlec" --device=small --emit=placed -o /dev/null \
-    --remarks-json="$out/probes-b.jsonl" \
-    "$repo/tests/inputs/fsm_shrink.ret"
-"$build/tools/json_check" remark_diff \
-    "$out/probes-a.jsonl" "$out/probes-b.jsonl"
-grep -q '"shrink-probe"' "$out/probes-a.jsonl"
+# probes; two runs must emit byte-identical remark streams, shrink-probe
+# remarks included, once under the default mode (answered by
+# propagation) and once under --sat-solver=scratch, so the CNF path
+# keeps a determinism gate of its own.
+for mode in propagate scratch; do
+    "$build/tools/reticlec" --device=small --emit=placed -o /dev/null \
+        --sat-solver="$mode" --remarks-json="$out/probes-$mode-a.jsonl" \
+        "$repo/tests/inputs/fsm_shrink.ret"
+    "$build/tools/reticlec" --device=small --emit=placed -o /dev/null \
+        --sat-solver="$mode" --remarks-json="$out/probes-$mode-b.jsonl" \
+        "$repo/tests/inputs/fsm_shrink.ret"
+    "$build/tools/json_check" remark_diff \
+        "$out/probes-$mode-a.jsonl" "$out/probes-$mode-b.jsonl"
+    grep -q '"shrink-probe"' "$out/probes-$mode-a.jsonl"
+done
 
 echo "== batch compile end to end =="
 "$build/tools/reticlec" --device=small --jobs="$jobs" \
@@ -226,10 +231,10 @@ if [ "${RUN_BENCH:-0}" = "1" ]; then
     grep -q '"profiled"' "$out/BENCH_sim.json"
     grep -q '"overhead_vs_none"' "$out/BENCH_sim.json"
     # The placement bench doc carries the per-mode series rows and the
-    # scratch-vs-persistent speedup block the acceptance bar reads.
+    # propagate-vs-scratch speedup block the acceptance bar reads.
     "$build/tools/json_check" --require=schema --require=figure \
         --nonempty=series --nonempty=speedup "$out/BENCH_place.json"
-    grep -q '"incremental_vs_scratch"' "$out/BENCH_place.json"
+    grep -q '"propagate_vs_scratch"' "$out/BENCH_place.json"
 fi
 
 echo "== telemetry-free build (-DRETICLE_NO_TELEMETRY=ON) =="

@@ -55,9 +55,9 @@ struct CompileOptions {
   bool Cascade = true;
   /// Run the placement shrinking passes (Section 5.3).
   bool Shrink = true;
-  /// Shrink-search solver strategy (`--sat-solver=`): Scratch re-encodes
-  /// per probe, Incremental keeps one solver across probes.
-  place::SatMode SatMode = place::SatMode::Incremental;
+  /// Placement attempt strategy (`--sat-solver=`): Scratch solves the CNF
+  /// on every attempt, Propagate only when first-fit propagation fails.
+  place::SatMode SatMode = place::SatMode::Propagate;
   /// Record a DRAT-style proof log of the placement SAT searches into
   /// CompileResult::SatProof (`--sat-proof=`).
   bool SatProof = false;

@@ -75,7 +75,7 @@ Json reticle::core::statsJson(const CompileResult &Result,
   SatProfile.set("solver_mode",
                  Result.PlaceStats.Mode == place::SatMode::Scratch
                      ? "scratch"
-                     : "incremental");
+                     : "propagate");
   SatProfile.set("solves", Result.PlaceStats.Solves);
   SatProfile.set("budget_exhausted", Result.PlaceStats.BudgetExhausted);
   SatProfile.set("time_ms", Result.PlaceStats.SatMs);
@@ -93,16 +93,14 @@ Json reticle::core::statsJson(const CompileResult &Result,
   for (uint64_t Bucket : Result.PlaceStats.LearnedSizeHistogram)
     Sizes.push(Bucket);
   SatProfile.set("learned_size_histogram", std::move(Sizes));
-  // Per-probe reuse accounting for the persistent shrink solver. The
-  // object is always present so schema checks can `--require` it
-  // unconditionally.
-  Json Incremental = Json::object();
-  Incremental.set("encodes", Result.PlaceStats.IncrementalEncodes);
-  Incremental.set("probes", Result.PlaceStats.IncrementalProbes);
-  Incremental.set("precheck_probes", Result.PlaceStats.PrecheckProbes);
-  Incremental.set("reused_clauses", Result.PlaceStats.ReusedClauses);
-  Incremental.set("reused_learned", Result.PlaceStats.ReusedLearned);
-  SatProfile.set("incremental", std::move(Incremental));
+  SatProfile.set("cnf_solves", Result.PlaceStats.CnfSolves);
+  // The shrink probes' split between those answered by propagation or
+  // the CNF and those settled arithmetically. The object is always
+  // present so schema checks can `--require` it unconditionally.
+  Json Shrink = Json::object();
+  Shrink.set("probes", Result.PlaceStats.IncrementalProbes);
+  Shrink.set("precheck_probes", Result.PlaceStats.PrecheckProbes);
+  SatProfile.set("shrink", std::move(Shrink));
   Json Probes = Json::array();
   for (const place::ShrinkProbe &P : Result.PlaceStats.Timeline) {
     Json Probe = Json::object();

@@ -12,9 +12,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <climits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -120,14 +118,17 @@ private:
     uint64_t Conflicts = 0;
     uint64_t Decisions = 0;
     bool BudgetExhausted = false;
-    /// True when the attempt reached the SAT solver (false: settled by an
-    /// arithmetic precheck or an empty candidate range).
+    /// True when the attempt got past the prechecks and was answered by
+    /// propagation or the CNF (false: settled by an arithmetic precheck or
+    /// an empty candidate range).
     bool SatBacked = false;
   };
-  /// One SAT attempt under the given bounds. On success fills
-  /// \p Assignment with the chosen candidate per non-fixed cluster. A
-  /// nonzero \p ConflictBudget bounds the search (shrinking attempts give
-  /// up rather than fight pigeonhole-hard instances). With \p Explain set,
+  /// One placement attempt under the given bounds. On success fills
+  /// \p Assignment with the chosen candidate per non-fixed cluster. In
+  /// Propagate mode the enumerated candidates go through propagate() first
+  /// and the CNF is built only when it fails. A nonzero \p ConflictBudget
+  /// bounds the CNF search (shrinking attempts give up rather than fight
+  /// pigeonhole-hard instances). With \p Explain set,
   /// an unsatisfiable attempt is additionally explained: the encoding is
   /// re-emitted with one selector literal per constraint group, the
   /// failed-assumption core is extracted and minimized, and each surviving
@@ -150,59 +151,23 @@ private:
   /// Returns true (and tags \p Sp) when \p B provably cannot fit.
   bool capacityInfeasible(const Bounds &B, bool Explain, obs::Span &Sp);
 
-  /// Delta-exact accumulation of one solve's effort into PlacementStats.
-  /// Takes a Statistics *delta* (After - Before snapshots around the
-  /// solve), never cumulative totals — the latter double-count when one
-  /// solver is reused across probes.
+  /// First-fit unit propagation over one attempt's enumerated
+  /// candidates. Replays what the CDCL solver does on their CNF while it
+  /// meets no conflict: every single-candidate cluster is a root unit,
+  /// then each decision sets the lowest unassigned variable true — the
+  /// lowest live candidate of the first unplaced cluster — and unit
+  /// propagation kills every candidate sharing a slot with a chosen one
+  /// and chooses any cluster left with one live candidate. Returns false
+  /// exactly where the solver would hit a conflict (a cluster's domain
+  /// empties, or a chosen candidate lists one slot twice); otherwise
+  /// fills \p Assignment with the solver's model, and \p Decisions and
+  /// \p Propagations with the counts the solver would have reported.
+  bool propagate(const std::vector<std::vector<Candidate>> &Cands,
+                 const Bounds &B, std::vector<Candidate> &Assignment,
+                 uint64_t &Decisions, uint64_t &Propagations) const;
+
+  /// Accumulates one fresh solver's effort into PlacementStats.
   void accumulate(const sat::Solver::Statistics &D, bool BudgetHit);
-
-  /// Persistent shrink-search state (Incremental mode): one
-  /// encoding built lazily at the first SAT-backed probe and reused —
-  /// learned clauses, activities and saved phases included — for every
-  /// probe after it. Area bounds are not re-encoded per probe; they are
-  /// assumption literals over the Kill ladders below.
-  struct Persistent {
-    bool Built = false;
-    /// The encoding's bounding box. Columns are clamped to the initial
-    /// solution's used columns — the binary search never probes above
-    /// them, and a device-wide enumeration (63x148 positions per cluster
-    /// on xczu3eg) costs more to build and propagate than every scratch
-    /// re-encoding combined. Rows stay at full device height: the column
-    /// pass probes with the row bound still wide open, and dropping
-    /// high-row candidates there would prune layouts scratch mode can
-    /// reach.
-    Bounds Box{0, 0};
-    std::unique_ptr<sat::Solver> Solver;
-    /// Full-bounds candidates and their variables, per cluster.
-    std::vector<std::vector<Candidate>> Cands;
-    std::vector<std::vector<sat::Var>> Vars;
-    /// Bound ladders: ColKill[c] means "columns >= c are banned" (same for
-    /// rows). Monotone clauses (¬Kill[c] ∨ Kill[c+1]) let a probe ban a
-    /// whole suffix by assuming the single literal Kill[B+1]; per-
-    /// candidate guards (¬Kill[mx] ∨ ¬cand) kill every candidate whose
-    /// footprint reaches a banned column/row. Ladder variables are created
-    /// last with saved phase false, so free decisions never tighten a
-    /// bound on their own.
-    std::vector<sat::Var> ColKill;
-    std::vector<sat::Var> RowKill;
-    /// Empty-range precheck table: MinRow[I][c] is the smallest row
-    /// footprint over cluster I's candidates whose column footprint is
-    /// <= c (UINT_MAX: none). Replicates scratch mode's "enumerate came
-    /// back empty" verdict without touching the solver, keeping such
-    /// probes at zero conflicts/decisions in every mode.
-    std::vector<std::vector<unsigned>> MinRow;
-    size_t ProblemClauses = 0;
-  };
-
-  /// Builds the persistent encoding (enumeration, constraints, ladders,
-  /// precheck table) into the persistent solver.
-  Status buildPersistent();
-  void encodePersistent(sat::Solver &S);
-
-  /// One shrink probe against the persistent solver: prechecks, then a
-  /// bounds-as-assumptions solve on the retained encoding.
-  Attempt probe(const Bounds &B, std::vector<Candidate> &Assignment,
-                std::string &Err, uint64_t ConflictBudget, SolveInfo *Info);
 
   const AsmProgram &Prog;
   const device::Device &Dev;
@@ -213,9 +178,6 @@ private:
   std::vector<Cluster> Clusters;      // non-fixed
   std::vector<Cluster> FixedClusters; // fully literal
   std::set<device::Slot> FixedSlots;
-
-  size_t FullCapVal = 0; // cap admitting full enumeration, set by run()
-  Persistent Persist;
 };
 
 Status Placer::buildClusters() {
@@ -489,14 +451,7 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
   if (capacityInfeasible(B, Explain, Sp))
     return Attempt::Unsat;
 
-  sat::Solver S(Ctx);
-  if (Options.Proof)
-    S.setProof(Options.Proof);
-  // SAT variables per (cluster, candidate).
   std::vector<std::vector<Candidate>> Cands(Clusters.size());
-  std::vector<std::vector<sat::Var>> Vars(Clusters.size());
-  std::map<device::Slot, std::vector<sat::Lit>> SlotUsers;
-
   for (size_t I = 0; I < Clusters.size(); ++I) {
     Result<std::vector<Candidate>> E = enumerate(Clusters[I], B, Cap);
     if (!E) {
@@ -520,6 +475,32 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
       }
       return Attempt::Unsat; // no feasible base under these bounds
     }
+  }
+
+  uint64_t Decisions = 0, Propagations = 0;
+  if (Options.Mode == SatMode::Propagate &&
+      propagate(Cands, B, Assignment, Decisions, Propagations)) {
+    if (Stats) {
+      ++Stats->Solves;
+      Stats->Decisions += Decisions;
+      Stats->Propagations += Propagations;
+    }
+    if (Info) {
+      Info->Decisions = Decisions;
+      Info->SatBacked = true;
+    }
+    Sp.arg("outcome", "sat");
+    Sp.arg("via", "propagate");
+    return Attempt::Sat;
+  }
+
+  sat::Solver S(Ctx);
+  if (Options.Proof)
+    S.setProof(Options.Proof);
+  // SAT variables per (cluster, candidate).
+  std::vector<std::vector<sat::Var>> Vars(Clusters.size());
+  std::map<device::Slot, std::vector<sat::Lit>> SlotUsers;
+  for (size_t I = 0; I < Clusters.size(); ++I) {
     std::vector<sat::Lit> Lits;
     for (const Candidate &Cand : Cands[I]) {
       sat::Var V = S.newVar();
@@ -541,17 +522,13 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
 
   if (Stats) {
     ++Stats->Solves;
+    ++Stats->CnfSolves;
     Stats->Vars = S.numVars();
     Stats->Clauses = static_cast<unsigned>(S.numClauses());
   }
   Sp.arg("vars", static_cast<uint64_t>(S.numVars()));
-  // Snapshot-and-delta accounting: exact whether the solver is fresh (as
-  // here) or reused, and immune to the double-count a cumulative
-  // `Stats += S.stats()` produces on a persistent solver.
-  const sat::Solver::Statistics StatsBefore = S.stats();
   sat::Outcome O = S.solve(ConflictBudget);
-  accumulate(sat::Solver::Statistics::delta(S.stats(), StatsBefore),
-             O == sat::Outcome::Unknown);
+  accumulate(S.stats(), O == sat::Outcome::Unknown);
   if (Info) {
     const sat::Solver::SolveProfile &P = S.lastProfile();
     Info->Conflicts = P.Conflicts;
@@ -587,6 +564,121 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
   return Attempt::Sat;
 }
 
+bool Placer::propagate(const std::vector<std::vector<Candidate>> &Cands,
+                       const Bounds &B, std::vector<Candidate> &Assignment,
+                       uint64_t &Decisions, uint64_t &Propagations) const {
+  // Candidates numbered densely in CNF variable order: cluster I owns
+  // [First[I], First[I + 1]).
+  size_t N = Clusters.size();
+  std::vector<uint32_t> First(N + 1, 0);
+  for (size_t I = 0; I < N; ++I)
+    First[I + 1] = First[I] + static_cast<uint32_t>(Cands[I].size());
+  std::vector<uint32_t> ClusterOf(First[N]);
+  for (size_t I = 0; I < N; ++I)
+    std::fill(ClusterOf.begin() + First[I], ClusterOf.begin() + First[I + 1],
+              static_cast<uint32_t>(I));
+  auto CandOf = [&](uint32_t G) -> const Candidate & {
+    return Cands[ClusterOf[G]][G - First[ClusterOf[G]]];
+  };
+
+  // CSR table from slot to its users, one entry per member slot exactly as
+  // the CNF's slot at-most-one lists them (a candidate naming one slot
+  // twice appears twice).
+  size_t Rows = size_t(B.MaxRow) + 1;
+  auto Key = [&](const device::Slot &S) { return S.X * Rows + S.Y; };
+  std::vector<uint32_t> UserStart((size_t(B.MaxColumn) + 1) * Rows + 1, 0);
+  for (uint32_t G = 0; G < First[N]; ++G)
+    for (const device::Slot &S : CandOf(G).Slots)
+      ++UserStart[Key(S) + 1];
+  for (size_t K = 1; K < UserStart.size(); ++K)
+    UserStart[K] += UserStart[K - 1];
+  std::vector<uint32_t> Users(UserStart.back());
+  std::vector<uint32_t> Fill(UserStart.begin(), UserStart.end() - 1);
+  for (uint32_t G = 0; G < First[N]; ++G)
+    for (const device::Slot &S : CandOf(G).Slots)
+      Users[Fill[Key(S)]++] = G;
+
+  constexpr uint32_t None = UINT32_MAX;
+  std::vector<uint32_t> Chosen(N, None);
+  std::vector<uint8_t> Dead(First[N], 0);
+  std::vector<uint32_t> Live(N);
+  std::vector<uint32_t> Units; // clusters left with one live candidate
+  for (size_t I = 0; I < N; ++I) {
+    Live[I] = First[I + 1] - First[I];
+    if (Live[I] == 1)
+      Units.push_back(static_cast<uint32_t>(I));
+  }
+  auto LowestLive = [&](uint32_t I) {
+    uint32_t G = First[I];
+    while (Dead[G])
+      ++G;
+    return G;
+  };
+  auto Choose = [&](uint32_t G) {
+    const std::vector<device::Slot> &Slots = CandOf(G).Slots;
+    for (size_t A = 0; A < Slots.size(); ++A)
+      for (size_t Z = A + 1; Z < Slots.size(); ++Z)
+        if (Slots[A] == Slots[Z])
+          return false;
+    Chosen[ClusterOf[G]] = G;
+    for (const device::Slot &S : Slots)
+      for (uint32_t U = UserStart[Key(S)]; U < UserStart[Key(S) + 1]; ++U) {
+        uint32_t H = Users[U];
+        uint32_t J = ClusterOf[H];
+        if (Dead[H] || Chosen[J] != None)
+          continue;
+        Dead[H] = 1;
+        if (--Live[J] == 0)
+          return false;
+        if (Live[J] == 1)
+          Units.push_back(J);
+      }
+    return true;
+  };
+  auto Settle = [&] {
+    while (!Units.empty()) {
+      uint32_t J = Units.back();
+      Units.pop_back();
+      if (Chosen[J] == None && !Choose(LowestLive(J)))
+        return false;
+    }
+    return true;
+  };
+
+  Decisions = 0;
+  if (!Settle())
+    return false;
+  for (uint32_t I = 0; I < N; ++I) {
+    if (Chosen[I] != None)
+      continue;
+    ++Decisions;
+    if (!Choose(LowestLive(I)) || !Settle())
+      return false;
+  }
+  // A conflict-free run assigns and propagates every CNF variable once:
+  // one per candidate, plus the n - 1 auxiliaries of every at-most-one
+  // over n >= 3 literals. The slot groups' auxiliaries are the last
+  // variables, and the solver decides each such group once when no
+  // chosen candidate holds its slot.
+  auto Aux = [](uint32_t Lits) { return Lits >= 3 ? Lits - 1 : 0; };
+  Propagations = First[N];
+  for (size_t I = 0; I < N; ++I)
+    Propagations += Aux(First[I + 1] - First[I]);
+  for (size_t K = 0; K + 1 < UserStart.size(); ++K) {
+    uint32_t Lits = UserStart[K + 1] - UserStart[K];
+    Propagations += Aux(Lits);
+    bool Held = Lits < 3;
+    for (uint32_t U = UserStart[K]; U < UserStart[K + 1] && !Held; ++U)
+      Held = Chosen[ClusterOf[Users[U]]] == Users[U];
+    Decisions += Held ? 0 : 1;
+  }
+
+  Assignment.clear();
+  for (size_t I = 0; I < N; ++I)
+    Assignment.push_back(CandOf(Chosen[I]));
+  return true;
+}
+
 void Placer::accumulate(const sat::Solver::Statistics &D, bool BudgetHit) {
   if (!Stats)
     return;
@@ -603,223 +695,6 @@ void Placer::accumulate(const sat::Solver::Statistics &D, bool BudgetHit) {
     Stats->LbdHistogram[K] += D.LbdHistogram[K];
     Stats->LearnedSizeHistogram[K] += D.LearnedSizeHistogram[K];
   }
-}
-
-/// The column/row footprint a candidate needs: the maximum slot
-/// coordinate, widened by the base value on axes the bounds restrict
-/// during enumeration (a bound B drops base values > B even when every
-/// slot stays within B, and the persistent guards must ban exactly what a
-/// bounded re-enumeration would drop).
-static std::pair<unsigned, unsigned> candFootprint(const Cluster &C,
-                                                   const Candidate &Cand) {
-  unsigned MX = 0, MY = 0;
-  for (const device::Slot &S : Cand.Slots) {
-    MX = std::max(MX, S.X);
-    MY = std::max(MY, S.Y);
-  }
-  if (C.XVar)
-    MX = std::max(MX, static_cast<unsigned>(Cand.XBase));
-  if (C.YVar)
-    MY = std::max(MY, static_cast<unsigned>(Cand.YBase));
-  return {MX, MY};
-}
-
-void Placer::encodePersistent(sat::Solver &S) {
-  // Identical constraint order to solveOnce's per-probe encoding: cluster
-  // candidate variables with exactly-one + at-most-one, then slot
-  // exclusivity. A bounded probe's encoding is this one minus the killed
-  // candidates, and the kill guards propagate those false before any free
-  // decision, so the persistent solver explores the same restricted space.
-  std::map<device::Slot, std::vector<sat::Lit>> SlotUsers;
-  Persist.Vars.assign(Clusters.size(), {});
-  for (size_t I = 0; I < Clusters.size(); ++I) {
-    std::vector<sat::Lit> Lits;
-    for (const Candidate &Cand : Persist.Cands[I]) {
-      sat::Var V = S.newVar();
-      Persist.Vars[I].push_back(V);
-      Lits.push_back(sat::Lit(V));
-      for (const device::Slot &Slot : Cand.Slots)
-        SlotUsers[Slot].push_back(sat::Lit(V));
-    }
-    S.addClause(Lits);
-    addAtMostOne(S, Lits);
-  }
-  for (auto &[Slot, Lits] : SlotUsers)
-    addAtMostOne(S, Lits);
-
-  // Bound ladders, created after every candidate/auxiliary variable so
-  // free decisions reach them last, pinned to phase false so an unassumed
-  // ladder never tightens a bound on its own.
-  Persist.ColKill.clear();
-  Persist.RowKill.clear();
-  for (unsigned C = 0; C <= Persist.Box.MaxColumn; ++C) {
-    sat::Var V = S.newVar();
-    S.setPhase(V, false);
-    Persist.ColKill.push_back(V);
-  }
-  for (unsigned R = 0; R <= Persist.Box.MaxRow; ++R) {
-    sat::Var V = S.newVar();
-    S.setPhase(V, false);
-    Persist.RowKill.push_back(V);
-  }
-  // Monotone: banning columns >= c bans columns >= c+1.
-  for (size_t C = 0; C + 1 < Persist.ColKill.size(); ++C)
-    S.addBinary(~sat::Lit(Persist.ColKill[C]), sat::Lit(Persist.ColKill[C + 1]));
-  for (size_t R = 0; R + 1 < Persist.RowKill.size(); ++R)
-    S.addBinary(~sat::Lit(Persist.RowKill[R]), sat::Lit(Persist.RowKill[R + 1]));
-  // Guards: a candidate dies with the outermost column/row it needs.
-  for (size_t I = 0; I < Clusters.size(); ++I)
-    for (size_t K = 0; K < Persist.Cands[I].size(); ++K) {
-      auto [MX, MY] = candFootprint(Clusters[I], Persist.Cands[I][K]);
-      S.addBinary(~sat::Lit(Persist.ColKill[MX]),
-                  ~sat::Lit(Persist.Vars[I][K]));
-      S.addBinary(~sat::Lit(Persist.RowKill[MY]),
-                  ~sat::Lit(Persist.Vars[I][K]));
-    }
-}
-
-Status Placer::buildPersistent() {
-  obs::Span Sp(Ctx, "place.encode.persistent");
-  Sp.arg("clusters", static_cast<uint64_t>(Clusters.size()));
-  Persist.Cands.assign(Clusters.size(), {});
-  for (size_t I = 0; I < Clusters.size(); ++I) {
-    Result<std::vector<Candidate>> E =
-        enumerate(Clusters[I], Persist.Box, FullCapVal);
-    if (!E)
-      return Status::failure(E.error());
-    Persist.Cands[I] = E.take();
-    if (Persist.Cands[I].empty())
-      return Status::failure(
-          "internal error: cluster lost all candidates between the initial "
-          "solve and the shrink search");
-  }
-
-  // Feasibility table for the empty-range precheck (prefix-min over the
-  // column footprint).
-  Persist.MinRow.assign(
-      Clusters.size(),
-      std::vector<unsigned>(Persist.Box.MaxColumn + 1, UINT_MAX));
-  for (size_t I = 0; I < Clusters.size(); ++I) {
-    std::vector<unsigned> &Row = Persist.MinRow[I];
-    for (const Candidate &Cand : Persist.Cands[I]) {
-      auto [MX, MY] = candFootprint(Clusters[I], Cand);
-      Row[MX] = std::min(Row[MX], MY);
-    }
-    for (size_t C = 1; C < Row.size(); ++C)
-      Row[C] = std::min(Row[C], Row[C - 1]);
-  }
-
-  Persist.Solver = std::make_unique<sat::Solver>(Ctx);
-  if (Options.Proof)
-    Persist.Solver->setProof(Options.Proof);
-  encodePersistent(*Persist.Solver);
-  Persist.ProblemClauses = Persist.Solver->numClauses();
-  if (Stats) {
-    Stats->Vars = Persist.Solver->numVars();
-    Stats->Clauses = static_cast<unsigned>(Persist.ProblemClauses);
-    ++Stats->IncrementalEncodes;
-  }
-  Ctx.counter("sat.incremental.encodes") += 1;
-  Persist.Built = true;
-  Sp.arg("clauses", static_cast<uint64_t>(Persist.ProblemClauses));
-  return Status::success();
-}
-
-Placer::Attempt Placer::probe(const Bounds &B,
-                              std::vector<Candidate> &Assignment,
-                              std::string &Err, uint64_t ConflictBudget,
-                              SolveInfo *Info) {
-  if (Info)
-    *Info = {};
-  obs::Span Sp(Ctx, "place.solve");
-  Sp.arg("max_col", B.MaxColumn);
-  Sp.arg("max_row", B.MaxRow);
-  Sp.arg("cap", static_cast<uint64_t>(FullCapVal));
-  Sp.arg("clusters", static_cast<uint64_t>(Clusters.size()));
-  if (capacityInfeasible(B, /*Explain=*/false, Sp))
-    return Attempt::Unsat;
-
-  if (!Persist.Built)
-    if (Status St = buildPersistent(); !St) {
-      Err = St.error();
-      return Attempt::Error;
-    }
-
-  // Empty-range precheck in cluster order, mirroring scratch mode's
-  // "enumerate came back empty" verdict: such probes never reach the
-  // solver and report zero conflicts/decisions in every mode.
-  for (size_t I = 0; I < Clusters.size(); ++I) {
-    unsigned C = std::min(B.MaxColumn, Persist.Box.MaxColumn);
-    unsigned Need = Persist.MinRow[I][C];
-    if (Need == UINT_MAX || Need > B.MaxRow) {
-      Sp.arg("outcome", "no_candidates");
-      return Attempt::Unsat;
-    }
-  }
-
-  sat::Solver &S = *Persist.Solver;
-  size_t TotalClauses = S.numClauses();
-  if (Stats) {
-    ++Stats->Solves;
-    Stats->ReusedClauses += Persist.ProblemClauses;
-    Stats->ReusedLearned += TotalClauses - Persist.ProblemClauses;
-  }
-  Ctx.counter("sat.incremental.reused_clauses") += Persist.ProblemClauses;
-  Ctx.counter("sat.incremental.reused_learned") +=
-      TotalClauses - Persist.ProblemClauses;
-  Sp.arg("vars", static_cast<uint64_t>(S.numVars()));
-
-  // The probe's bounds are two assumption literals at most: ban the
-  // column/row suffix beyond the tried bound. Everything else — clauses,
-  // learned clauses, activities, phases — carries over from prior probes.
-  std::vector<sat::Lit> Assumps;
-  if (B.MaxColumn < Persist.Box.MaxColumn)
-    Assumps.push_back(sat::Lit(Persist.ColKill[B.MaxColumn + 1]));
-  if (B.MaxRow < Persist.Box.MaxRow)
-    Assumps.push_back(sat::Lit(Persist.RowKill[B.MaxRow + 1]));
-
-  const sat::Solver::Statistics StatsBefore = S.stats();
-  sat::Outcome O = S.solveWith(Assumps, ConflictBudget);
-  sat::Solver::Statistics D = sat::Solver::Statistics::delta(S.stats(),
-                                                             StatsBefore);
-  accumulate(D, O == sat::Outcome::Unknown);
-  if (Info) {
-    Info->Conflicts = D.Conflicts;
-    Info->Decisions = D.Decisions;
-    Info->BudgetExhausted = O == sat::Outcome::Unknown;
-    Info->SatBacked = true;
-  }
-
-  // Re-arm the ladder phases: search may have saved a true phase on a
-  // kill variable; the next probe must again reach them last and false.
-  for (sat::Var V : Persist.ColKill)
-    S.setPhase(V, false);
-  for (sat::Var V : Persist.RowKill)
-    S.setPhase(V, false);
-
-  if (O != sat::Outcome::Sat) {
-    Sp.arg("outcome", O == sat::Outcome::Unsat ? "unsat" : "budget_exhausted");
-    return Attempt::Unsat;
-  }
-  Sp.arg("outcome", "sat");
-
-  Assignment.clear();
-  Assignment.resize(Clusters.size());
-  for (size_t I = 0; I < Clusters.size(); ++I) {
-    bool Chosen = false;
-    for (size_t K = 0; K < Persist.Vars[I].size(); ++K) {
-      if (S.value(Persist.Vars[I][K])) {
-        Assignment[I] = Persist.Cands[I][K];
-        Chosen = true;
-        break;
-      }
-    }
-    if (!Chosen) {
-      Err = "internal error: satisfiable model without a chosen candidate";
-      return Attempt::Error;
-    }
-  }
-  return Attempt::Sat;
 }
 
 void Placer::explainUnsat(const std::vector<std::vector<Candidate>> &Cands) {
@@ -935,11 +810,8 @@ Result<AsmProgram> Placer::run() {
   Full.MaxRow = TallestColumn ? TallestColumn - 1 : 0;
 
   // First solution: grow the candidate cap until satisfiable or fully
-  // enumerated. The initial solve is always from scratch, whatever the
-  // shrink mode: it is one solve (nothing to reuse) and it owns the
-  // UNSAT-explanation path.
+  // enumerated.
   size_t FullCap = static_cast<size_t>(Dev.numColumns()) * TallestColumn + 1;
-  FullCapVal = FullCap;
   size_t Cap = std::max<size_t>(Options.InitialCandidateCap,
                                 2 * Clusters.size() + 8);
   std::vector<Candidate> BestAssignment;
@@ -1002,9 +874,8 @@ Result<AsmProgram> Placer::run() {
         .arg("device", Dev.name());
 
   // Shrinking passes: take the used area as the bound and binary-search a
-  // smaller one, re-running placement (Section 5.3). Scratch mode rebuilds
-  // the encoding per probe; Incremental probes one persistent solver with
-  // bounds as assumptions.
+  // smaller one, re-running placement (Section 5.3). Every probe
+  // re-enumerates its candidates under the tried bound.
   auto ShrinkT0 = std::chrono::steady_clock::now();
   if (Options.Shrink && !Clusters.empty()) {
     // Bounds needed by the placeable clusters alone. Fixed (pinned) slots
@@ -1019,12 +890,6 @@ Result<AsmProgram> Placer::run() {
         }
       return B;
     };
-    // The lazily built persistent encoding covers exactly the space the
-    // probes below can reach: columns up to the initial solution's used
-    // columns (the binary search only ever tries less), rows up to the
-    // full device height (the column pass probes with the row bound
-    // still open).
-    Persist.Box = Bounds{UsedBounds(BestAssignment).MaxColumn, Full.MaxRow};
     Bounds Cur{Full.MaxColumn, Full.MaxRow};
 
     // Shrink columns, then rows, by binary search (Section 5.3). Columns
@@ -1051,41 +916,24 @@ Result<AsmProgram> Placer::run() {
           Options.Proof->comment(
               std::string("place: shrink probe axis=") +
               (Axis == 0 ? "col" : "row") + " bound=" + std::to_string(Mid));
-        Attempt A =
-            Options.Mode == SatMode::Scratch
-                ? solveOnce(Try, FullCap, Assignment, Err,
-                            /*ConflictBudget=*/50000, /*Explain=*/false,
-                            &Info)
-                : probe(Try, Assignment, Err, /*ConflictBudget=*/50000,
-                        &Info);
+        Attempt A = solveOnce(Try, FullCap, Assignment, Err,
+                              /*ConflictBudget=*/50000, /*Explain=*/false,
+                              &Info);
         if (A == Attempt::Error)
           return fail<AsmProgram>(Err);
-        if (Stats) {
-          if (Info.SatBacked) {
-            ++Stats->IncrementalProbes;
-            // Scratch re-encodes per SAT-backed probe; Incremental counts
-            // its one build inside buildPersistent().
-            if (Options.Mode == SatMode::Scratch)
-              ++Stats->IncrementalEncodes;
-          } else {
-            ++Stats->PrecheckProbes;
-          }
-        }
-        if (Info.SatBacked) {
-          Ctx.counter("sat.incremental.probes") += 1;
-          if (Options.Mode == SatMode::Scratch)
-            Ctx.counter("sat.incremental.encodes") += 1;
-        } else {
-          Ctx.counter("sat.incremental.precheck_probes") += 1;
-        }
+        if (Stats)
+          ++(Info.SatBacked ? Stats->IncrementalProbes
+                            : Stats->PrecheckProbes);
+        Ctx.counter(Info.SatBacked ? "sat.shrink.probes"
+                                   : "sat.shrink.precheck_probes") += 1;
         Sp.arg("fits", A == Attempt::Sat ? "yes" : "no");
         const char *OutcomeName = A == Attempt::Sat ? "sat"
                                   : Info.BudgetExhausted ? "budget_exhausted"
                                                          : "unsat";
         // The constraint that stops an area shrink is exactly this UNSAT.
-        // Per-probe conflict/decision counts come from the solver's delta
-        // profile, which survives budget-exhausted (Unknown) outcomes, so
-        // a probe that gave up still reports the work it did.
+        // Per-probe conflict/decision counts come from the solver's
+        // per-solve profile, which survives budget-exhausted (Unknown)
+        // outcomes, so a probe that gave up still reports the work it did.
         if (Ctx.remarksEnabled())
           obs::Remark(Ctx, "place", "shrink-probe")
               .message(std::string("shrink ") +

@@ -21,7 +21,9 @@
 /// rigid shape; the encoding assigns each cluster exactly one base
 /// position and forbids slot overlap. After a first solution, optional
 /// shrinking passes binary-search reduced areas and re-solve, compacting
-/// the layout (Section 5.3's final paragraph).
+/// the layout (Section 5.3's final paragraph). Each solve first tries
+/// first-fit unit propagation, which finds the solver's own model whenever
+/// the solver would need no search (see SatMode).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,18 +46,21 @@ class ProofWriter;
 
 namespace place {
 
-/// How the shrink search drives the SAT solver.
+/// How a placement attempt (the initial solve, each candidate-cap step
+/// and each shrink probe) finds its layout.
 ///
-///  - Scratch: every probe builds and solves a fresh encoding (the
-///    historical behavior; kept as the equivalence oracle).
-///  - Incremental: one persistent solver carries the full-bounds encoding
-///    across all probes; per-kind area bounds become assumption literals
-///    over a ladder of "kill" selectors, so learned clauses, variable
-///    activities and saved phases survive from probe to probe.
+///  - Scratch: every attempt encodes its enumerated candidates as a fresh
+///    CNF and solves it (the historical behavior; kept as the oracle).
+///  - Propagate: every attempt first runs first-fit unit propagation over
+///    its enumerated candidates, which replays the CDCL solver's own
+///    conflict-free trajectory on that CNF (lowest-index decision, phase
+///    true, unit propagation). The attempt builds and solves the CNF only
+///    when propagation meets what would be the solver's first conflict.
 ///
-/// Both modes reach the same final area; the placements are byte-identical
-/// when no probe reaches the solver. Incremental is the default.
-enum class SatMode : uint8_t { Scratch, Incremental };
+/// Both modes produce the same layout on every attempt, so the placed
+/// program, the timeline and the proof log are byte-identical across
+/// them. Propagate is the default.
+enum class SatMode : uint8_t { Scratch, Propagate };
 
 /// Tuning knobs for placement.
 struct PlacementOptions {
@@ -65,10 +70,11 @@ struct PlacementOptions {
   /// automatically (up to full enumeration) when the capped encoding is
   /// unsatisfiable.
   unsigned InitialCandidateCap = 128;
-  /// Shrink-probe solver strategy. The initial solve (cap growth and
-  /// UNSAT explanation) is always from scratch; the mode governs the
-  /// shrink probes only.
-  SatMode Mode = SatMode::Incremental;
+  /// How every attempt is answered: Scratch always solves the CNF,
+  /// Propagate solves it only when first-fit propagation fails. The
+  /// prechecks, the cap growth, the shrink probes' conflict budget and
+  /// the UNSAT explanation are the same in both modes.
+  SatMode Mode = SatMode::Propagate;
   /// When set, every SAT search of the run appends DRAT-style proof lines
   /// (learnt additions, deletions, assumption-core implications) here.
   sat::ProofWriter *Proof = nullptr;
@@ -86,7 +92,7 @@ struct ShrinkProbe {
   Outcome Result = Outcome::Sat;
   unsigned Bound = 0;     ///< tried bound on the probed axis (Initial: unused)
   uint64_t Conflicts = 0; ///< solver conflicts spent on this probe
-  uint64_t Decisions = 0; ///< solver decisions spent on this probe
+  uint64_t Decisions = 0; ///< decisions spent on this probe
   unsigned MaxColumn = 0; ///< bounding box of the accepted layout so far
   unsigned MaxRow = 0;
   std::vector<device::Slot> Slots; ///< occupied slots of the accepted layout
@@ -106,17 +112,20 @@ struct CoreConstraint {
 
 /// Facts about one placement run, reported by benchmarks and the unified
 /// stats document (`reticlec --stats-json=`). The Sat block aggregates
-/// sat::Solver::Statistics over every solve of the run, shrink probes
+/// sat::Solver::Statistics over every CNF solve of the run, shrink probes
 /// included, so a slow placement can be attributed to search effort
-/// rather than guessed at.
+/// rather than guessed at. An attempt answered by propagation adds no
+/// solver time and zero conflicts, but counts the decisions and
+/// propagations the solver would have made.
 struct PlacementStats {
-  unsigned Solves = 0;           ///< SAT invocations (including shrinking)
+  unsigned Solves = 0;           ///< attempts past the prechecks
+  unsigned CnfSolves = 0;        ///< attempts that built and solved the CNF
   unsigned ShrinkIterations = 0; ///< binary-search probes over both axes
-  unsigned Vars = 0;             ///< variables in the final encoding
-  unsigned Clauses = 0;          ///< problem clauses in the final encoding
+  unsigned Vars = 0;             ///< variables in the last CNF built
+  unsigned Clauses = 0;          ///< problem clauses in the last CNF built
   uint64_t Conflicts = 0;        ///< summed solver conflicts
-  uint64_t Decisions = 0;        ///< summed solver decisions
-  uint64_t Propagations = 0;     ///< summed solver propagations
+  uint64_t Decisions = 0;        ///< summed decisions, propagation included
+  uint64_t Propagations = 0;     ///< summed propagations, same rule
   uint64_t Restarts = 0;         ///< summed solver restarts
   uint64_t Learned = 0;          ///< summed learned clauses
   uint64_t BudgetExhausted = 0;  ///< solves that hit their conflict budget
@@ -127,20 +136,16 @@ struct PlacementStats {
   std::array<uint64_t, 8> LearnedSizeHistogram{};
   unsigned MaxColumn = 0; ///< highest column used
   unsigned MaxRow = 0;    ///< highest row used
-  /// Which shrink strategy produced the run.
-  SatMode Mode = SatMode::Incremental;
-  /// Wall-clock of the whole shrink phase (persistent encoding build
-  /// included); the headline "placement solve time" the benchmarks
-  /// compare across modes.
+  /// Which attempt strategy produced the run.
+  SatMode Mode = SatMode::Propagate;
+  /// Wall-clock of the whole shrink phase (enumeration, propagation and
+  /// CNF solves of every probe); the headline "placement solve time" the
+  /// benchmarks compare across modes.
   double ShrinkMs = 0.0;
-  /// Reuse accounting for the persistent (Incremental) solver.
-  /// Scratch mode rebuilds per probe, so Encodes == SAT-backed probes
-  /// there; a persistent run encodes once however many probes follow.
-  uint64_t IncrementalEncodes = 0; ///< times a probe (re)built an encoding
-  uint64_t IncrementalProbes = 0;  ///< probes answered by the SAT solver
-  uint64_t PrecheckProbes = 0;     ///< probes settled arithmetically (no SAT)
-  uint64_t ReusedClauses = 0;      ///< problem clauses carried across probes
-  uint64_t ReusedLearned = 0;      ///< learnt clauses alive at probe start
+  /// Shrink probes that got past the prechecks (answered by propagation
+  /// or the CNF). The name predates propagation; benchmarks read it.
+  uint64_t IncrementalProbes = 0;
+  uint64_t PrecheckProbes = 0; ///< probes settled arithmetically
   /// The initial solve plus every shrink probe, in order.
   std::vector<ShrinkProbe> Timeline;
   /// Named constraints explaining a failed placement (empty on success):

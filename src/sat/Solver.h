@@ -141,14 +141,6 @@ public:
   uint32_t numVars() const { return VarCount; }
   size_t numClauses() const { return Clauses.size(); }
 
-  /// Overrides the saved phase of \p V, steering the next free decision
-  /// on it. The placement shrink search pins its bound-selector variables
-  /// to false so an unassumed selector never tightens a bound on its own.
-  void setPhase(Var V, bool Phase) {
-    assert(V < VarCount && "unknown variable");
-    SavedPhase[V] = Phase;
-  }
-
   /// True while the formula is not yet refuted at the root level.
   bool ok() const { return OkFlag; }
 
@@ -216,33 +208,10 @@ public:
     std::array<uint64_t, HistogramBuckets> LbdHistogram{};
     /// Learnt-clause sizes, bucketed 1, 2, 3, 4, 5-8, 9-16, 17-32, >=33.
     std::array<uint64_t, HistogramBuckets> LearnedSizeHistogram{};
-
-    /// Member-wise After - Before. The accounting primitive for callers
-    /// that keep one solver alive across many solves: snapshot stats()
-    /// before a probe and delta after it, instead of re-adding the
-    /// cumulative totals (which double-counts under reuse).
-    static Statistics delta(const Statistics &After,
-                            const Statistics &Before) {
-      Statistics D;
-      D.Decisions = After.Decisions - Before.Decisions;
-      D.Propagations = After.Propagations - Before.Propagations;
-      D.Conflicts = After.Conflicts - Before.Conflicts;
-      D.Restarts = After.Restarts - Before.Restarts;
-      D.Learned = After.Learned - Before.Learned;
-      D.Solves = After.Solves - Before.Solves;
-      D.Unknowns = After.Unknowns - Before.Unknowns;
-      D.SolveMs = After.SolveMs - Before.SolveMs;
-      for (size_t I = 0; I < HistogramBuckets; ++I) {
-        D.LbdHistogram[I] = After.LbdHistogram[I] - Before.LbdHistogram[I];
-        D.LearnedSizeHistogram[I] =
-            After.LearnedSizeHistogram[I] - Before.LearnedSizeHistogram[I];
-      }
-      return D;
-    }
   };
   const Statistics &stats() const { return Stats; }
 
-  /// The delta-profile of the most recent solve. Unlike the accumulated
+  /// The profile of the most recent solve. Unlike the accumulated
   /// Statistics, this isolates one search — and it is filled for *every*
   /// outcome, Unknown included, so budget-exhausted probes still report
   /// the work they did.

@@ -323,6 +323,9 @@ TEST_F(Obs, StatsDocumentIsWellFormed) {
   ASSERT_TRUE(Fn.ok()) << Fn.error();
   core::CompileOptions Options;
   Options.Dev = device::Device::small();
+  // Scratch mode solves the CNF on every attempt, so the SAT solver's own
+  // counters reach the registry (propagation answers this program alone).
+  Options.SatMode = place::SatMode::Scratch;
   Result<core::CompileResult> R = core::compile(Fn.value(), Options);
   ASSERT_TRUE(R.ok()) << R.error();
 
@@ -368,6 +371,9 @@ TEST_F(Obs, CompilePipelineEmitsNestedStageSpans) {
   obs::enableTracing();
   core::CompileOptions Options;
   Options.Dev = device::Device::small();
+  // Scratch mode, so the placement attempt reaches the SAT solver and
+  // its sat.solve span is in the trace.
+  Options.SatMode = place::SatMode::Scratch;
   ASSERT_TRUE(core::compile(Fn.value(), Options).ok());
 
   Result<Json> Trace = Json::parse(obs::traceJson());

@@ -6,10 +6,15 @@
 
 #include "place/Place.h"
 
+#include "core/Compiler.h"
+#include "frontend/Benchmarks.h"
 #include "rasm/AsmParser.h"
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <optional>
 #include <random>
 
 using namespace reticle;
@@ -307,57 +312,10 @@ TEST(Place, NoShrinkTimelineHasOnlyTheInitialFrame) {
   EXPECT_EQ(Stats.Timeline.front().ProbeAxis, ShrinkProbe::Axis::Initial);
 }
 
-TEST(Place, SolverModesAgreeOnFinalArea) {
-  // Scratch and incremental shrink searches may pick different models
-  // once learnt clauses carry over, but they must land on the same shrunk
-  // bounding box and both pass the checker.
-  AsmProgram P = manyDspAdds(6);
-  unsigned Col[2], Row[2];
-  int I = 0;
-  for (SatMode Mode : {SatMode::Scratch, SatMode::Incremental}) {
-    PlacementOptions Options;
-    Options.Mode = Mode;
-    PlacementStats Stats;
-    Result<AsmProgram> Placed = reticle::place::place(
-        parseOk(P.str()), Device::small(), Options, &Stats);
-    ASSERT_TRUE(Placed.ok()) << Placed.error();
-    Status S = checkPlacement(P, Placed.value(), Device::small());
-    EXPECT_TRUE(S.ok()) << S.error();
-    EXPECT_EQ(Stats.Mode, Mode);
-    Col[I] = Stats.MaxColumn;
-    Row[I] = Stats.MaxRow;
-    ++I;
-  }
-  EXPECT_EQ(Col[0], Col[1]);
-  EXPECT_EQ(Row[0], Row[1]);
-}
-
-TEST(Place, IncrementalModeRecordsReuseStats) {
-  // The persistent solver encodes at most once and attributes every
-  // shrink probe as either precheck or SAT-backed; reused problem
-  // clauses accumulate per SAT-backed probe.
-  AsmProgram P = manyDspAdds(8);
-  PlacementOptions Options;
-  Options.Mode = SatMode::Incremental;
-  PlacementStats Stats;
-  Result<AsmProgram> Placed =
-      reticle::place::place(P, Device::small(), Options, &Stats);
-  ASSERT_TRUE(Placed.ok()) << Placed.error();
-  // Timeline holds the initial frame plus one frame per shrink probe.
-  EXPECT_EQ(Stats.IncrementalProbes + Stats.PrecheckProbes,
-            Stats.Timeline.size() - 1);
-  EXPECT_LE(Stats.IncrementalEncodes, 1u);
-  if (Stats.IncrementalProbes > 0) {
-    EXPECT_EQ(Stats.IncrementalEncodes, 1u);
-    EXPECT_GT(Stats.ReusedClauses, 0u);
-  }
-  EXPECT_GT(Stats.ShrinkMs, 0.0);
-}
-
 TEST(Place, ScratchModeMatchesHistoricalAccounting) {
-  // Scratch mode re-encodes per SAT-backed probe and never builds the
-  // persistent solver, so encodes == SAT-backed probes and nothing is
-  // reused.
+  // Scratch mode builds and solves the CNF on every attempt past the
+  // prechecks, and every shrink probe is either one of those or settled
+  // arithmetically.
   AsmProgram P = manyDspAdds(8);
   PlacementOptions Options;
   Options.Mode = SatMode::Scratch;
@@ -366,7 +324,188 @@ TEST(Place, ScratchModeMatchesHistoricalAccounting) {
       reticle::place::place(P, Device::small(), Options, &Stats);
   ASSERT_TRUE(Placed.ok()) << Placed.error();
   EXPECT_EQ(Stats.Mode, SatMode::Scratch);
-  EXPECT_EQ(Stats.IncrementalEncodes, Stats.IncrementalProbes);
-  EXPECT_EQ(Stats.ReusedClauses, 0u);
-  EXPECT_EQ(Stats.ReusedLearned, 0u);
+  EXPECT_GE(Stats.Solves, 1u);
+  EXPECT_EQ(Stats.CnfSolves, Stats.Solves);
+  EXPECT_EQ(Stats.IncrementalProbes + Stats.PrecheckProbes,
+            Stats.Timeline.size() - 1);
+  EXPECT_GT(Stats.ShrinkMs, 0.0);
+}
+
+namespace {
+
+/// The placed program of a run, or its error.
+std::string outcomeText(const Result<AsmProgram> &R) {
+  return R.ok() ? R.value().str() : "error: " + R.error();
+}
+
+/// Everything a placement run records that must not depend on the mode:
+/// every timeline frame, the search effort, and the core.
+void expectSameStats(const PlacementStats &SA, const PlacementStats &SB) {
+  ASSERT_EQ(SA.Timeline.size(), SB.Timeline.size());
+  for (size_t I = 0; I < SA.Timeline.size(); ++I) {
+    SCOPED_TRACE("timeline frame " + std::to_string(I));
+    const ShrinkProbe &FA = SA.Timeline[I], &FB = SB.Timeline[I];
+    EXPECT_EQ(FA.ProbeAxis, FB.ProbeAxis);
+    EXPECT_EQ(FA.Bound, FB.Bound);
+    EXPECT_EQ(FA.Result, FB.Result);
+    EXPECT_EQ(FA.Slots, FB.Slots);
+    EXPECT_EQ(FA.Conflicts, FB.Conflicts);
+    EXPECT_EQ(FA.Decisions, FB.Decisions);
+  }
+  EXPECT_EQ(SA.Conflicts, SB.Conflicts);
+  EXPECT_EQ(SA.Decisions, SB.Decisions);
+  EXPECT_EQ(SA.Propagations, SB.Propagations);
+  ASSERT_EQ(SA.Core.size(), SB.Core.size());
+  for (size_t I = 0; I < SA.Core.size(); ++I) {
+    EXPECT_EQ(SA.Core[I].Kind, SB.Core[I].Kind);
+    EXPECT_EQ(SA.Core[I].Instr, SB.Core[I].Instr);
+    EXPECT_EQ(SA.Core[I].Detail, SB.Core[I].Detail);
+  }
+}
+
+struct ModeRuns {
+  Result<AsmProgram> Scratch, Propagate;
+  PlacementStats ScratchStats, PropagateStats;
+};
+
+/// Places \p P in both modes and expects identical runs.
+ModeRuns placeBothModes(const AsmProgram &P, const Device &Dev) {
+  PlacementOptions Scratch, Propagate;
+  Scratch.Mode = SatMode::Scratch;
+  Propagate.Mode = SatMode::Propagate;
+  PlacementStats ScratchStats, PropagateStats;
+  Result<AsmProgram> S = reticle::place::place(P, Dev, Scratch, &ScratchStats);
+  Result<AsmProgram> Q =
+      reticle::place::place(P, Dev, Propagate, &PropagateStats);
+  EXPECT_EQ(outcomeText(S), outcomeText(Q));
+  expectSameStats(ScratchStats, PropagateStats);
+  return {std::move(S), std::move(Q), std::move(ScratchStats),
+          std::move(PropagateStats)};
+}
+
+/// A random placement problem that can need real search: 2-6 clusters of
+/// LUT or DSP instructions, each a chain of 1-3 members with row gaps of
+/// 1-2, in a variable column or pinned to a column of its kind.
+AsmProgram randomChains(std::mt19937 &Rng, const Device &Dev) {
+  auto Pick = [&](int Lo, int Hi) {
+    return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
+  };
+  std::string Body;
+  unsigned T = 0;
+  int NumClusters = Pick(2, 6);
+  for (int C = 0; C < NumClusters; ++C) {
+    ir::Resource Kind = Pick(0, 1) ? ir::Resource::Lut : ir::Resource::Dsp;
+    std::vector<unsigned> Cols;
+    for (unsigned X = 0; X < Dev.numColumns(); ++X)
+      if (Dev.columns()[X].Kind == Kind)
+        Cols.push_back(X);
+    std::string Col =
+        Pick(0, 1) ? "x" + std::to_string(C)
+                   : std::to_string(Cols[Pick(0, int(Cols.size()) - 1)]);
+    int Row = 0;
+    for (int M = Pick(1, 3); M > 0; --M) {
+      Body += "  t" + std::to_string(T++) + ":i8 = add(a, b) @" +
+              std::string(ir::resourceName(Kind)) + "(" + Col + ", y" +
+              std::to_string(C) + (Row ? "+" + std::to_string(Row) : "") +
+              ");\n";
+      Row += Pick(1, 2);
+    }
+  }
+  return parseOk("def f(a:i8, b:i8) -> (t0:i8) {\n" + Body + "}\n");
+}
+
+} // namespace
+
+TEST(Place, PropagationFallsBackToTheCnfAndAgreesWithScratch) {
+  // Propagation only answers attempts the solver would finish without a
+  // conflict; everything else must reach the CNF. Across the seeds some
+  // attempts need search (a CNF solve with conflicts that finds a layout)
+  // and some are refuted by the solver, and on every one of them the two
+  // modes must agree.
+  unsigned FellBackSat = 0, FellBackUnsat = 0;
+  for (const Device &Dev : {Device::tiny(), Device::small()}) {
+    for (unsigned Seed = 0; Seed < 400; ++Seed) {
+      SCOPED_TRACE(Dev.name() + " seed " + std::to_string(Seed));
+      std::mt19937 Rng(Seed);
+      AsmProgram P = randomChains(Rng, Dev);
+      ModeRuns R = placeBothModes(P, Dev);
+      if (R.Propagate.ok()) {
+        Status S = checkPlacement(P, R.Propagate.value(), Dev);
+        EXPECT_TRUE(S.ok()) << S.error();
+      }
+      EXPECT_LE(R.PropagateStats.CnfSolves, R.ScratchStats.CnfSolves);
+      // Propagation never spends a conflict, so a frame with conflicts
+      // was answered by the CNF.
+      for (const ShrinkProbe &F : R.PropagateStats.Timeline) {
+        FellBackSat += F.Conflicts && F.Result == ShrinkProbe::Outcome::Sat;
+        FellBackUnsat +=
+            F.Conflicts && F.Result == ShrinkProbe::Outcome::Unsat;
+      }
+      for (const CoreConstraint &C : R.PropagateStats.Core)
+        FellBackUnsat += C.Kind == "choose-one";
+    }
+  }
+  EXPECT_GT(FellBackSat, 0u);
+  EXPECT_GT(FellBackUnsat, 0u);
+}
+
+TEST(Place, CandidateListingOneSlotTwiceFallsBack) {
+  // With x = 0 both members land on lut(0, y): the lowest candidate names
+  // one slot twice, which the solver rejects only through a conflict, so
+  // propagation must hand the attempt to the CNF.
+  AsmProgram P = parseOk(R"(
+    def f(a:i8, b:i8) -> (s:i8, t:i8) {
+      s:i8 = add(a, b) @lut(x, y);
+      t:i8 = add(a, b) @lut(0, y);
+    }
+  )");
+  ModeRuns R = placeBothModes(P, Device::tiny());
+  ASSERT_TRUE(R.Propagate.ok()) << R.Propagate.error();
+  EXPECT_TRUE(checkPlacement(P, R.Propagate.value(), Device::tiny()).ok());
+  EXPECT_GT(R.PropagateStats.CnfSolves, 0u);
+  EXPECT_GT(R.PropagateStats.Timeline.front().Conflicts, 0u);
+}
+
+TEST(Place, ModesAgreeOnCompiledProgramsByteForByte) {
+  // The compile-time corpus through the whole pipeline: the placed
+  // program, the timeline and the proof log must not depend on the mode.
+  struct Case {
+    std::string Name;
+    std::optional<ir::Function> Fn; // else: tests/inputs/<Name>.ret
+    Device Dev;
+  };
+  std::vector<Case> Cases;
+  Cases.push_back({"fsm_shrink", std::nullopt, Device::small()});
+  Cases.push_back({"fsm_43", frontend::makeFsm(43), Device::xczu3eg()});
+  Cases.push_back(
+      {"tensoradd_512", frontend::makeTensorAdd(512), Device::xczu3eg()});
+  Cases.push_back(
+      {"dsp_add_1024", frontend::makeDspAdd(1024), Device::xczu3eg()});
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Name);
+    std::string Source;
+    if (!C.Fn) {
+      std::ifstream In(std::string(RETICLE_TEST_INPUTS_DIR) + "/" + C.Name +
+                       ".ret");
+      ASSERT_TRUE(In.good());
+      Source.assign(std::istreambuf_iterator<char>(In), {});
+    }
+    auto Compile = [&](SatMode Mode) {
+      core::CompileOptions Options;
+      Options.Dev = C.Dev;
+      Options.SatMode = Mode;
+      Options.SatProof = true;
+      return C.Fn ? core::compile(*C.Fn, Options)
+                  : core::compileSource(Source, C.Name, Options);
+    };
+    Result<core::CompileResult> S = Compile(SatMode::Scratch);
+    Result<core::CompileResult> P = Compile(SatMode::Propagate);
+    ASSERT_TRUE(S.ok()) << S.error();
+    ASSERT_TRUE(P.ok()) << P.error();
+    EXPECT_EQ(S.value().Placed.str(), P.value().Placed.str());
+    EXPECT_EQ(S.value().SatProof, P.value().SatProof);
+    expectSameStats(S.value().PlaceStats, P.value().PlaceStats);
+    EXPECT_GT(S.value().PlaceStats.CnfSolves, 0u);
+    EXPECT_EQ(P.value().PlaceStats.CnfSolves, 0u);
+  }
 }

@@ -552,85 +552,6 @@ TEST(Sat, LearnedClauseHistogramsFill) {
   EXPECT_GT(S.stats().SolveMs, 0.0);
 }
 
-TEST(Sat, DeltaAccountingIsExactAcrossPersistentSolves) {
-  // One solver, three solves under different assumptions: the per-solve
-  // deltas must partition the accumulated totals exactly — this is the
-  // contract the placement shrink loop's per-probe attribution rests on.
-  Solver S;
-  Var A = S.newVar(), B = S.newVar(), C = S.newVar();
-  ASSERT_TRUE(S.addClause({Lit(A), Lit(B)}));
-  ASSERT_TRUE(S.addClause({Lit(A, true), Lit(C)}));
-  ASSERT_TRUE(S.addClause({Lit(B, true), Lit(C, true)}));
-
-  const Solver::Statistics Zero;
-  Solver::Statistics Sum = Zero;
-  for (const std::vector<Lit> &Assumps :
-       {std::vector<Lit>{}, {Lit(A)}, {Lit(B)}, {Lit(A), Lit(B)}}) {
-    Solver::Statistics Before = S.stats();
-    S.solveWith(Assumps);
-    Solver::Statistics D = Solver::Statistics::delta(S.stats(), Before);
-    Sum.Decisions += D.Decisions;
-    Sum.Propagations += D.Propagations;
-    Sum.Conflicts += D.Conflicts;
-    Sum.Solves += D.Solves;
-    Sum.Unknowns += D.Unknowns;
-  }
-  EXPECT_EQ(Sum.Decisions, S.stats().Decisions);
-  EXPECT_EQ(Sum.Propagations, S.stats().Propagations);
-  EXPECT_EQ(Sum.Conflicts, S.stats().Conflicts);
-  EXPECT_EQ(Sum.Solves, S.stats().Solves);
-  EXPECT_EQ(Sum.Solves, 4u);
-  EXPECT_EQ(Sum.Unknowns, 0u);
-}
-
-TEST(Sat, DeltaAttributesUnknownToItsProbe) {
-  // A budget-exhausted probe in the middle of a persistent solver's life
-  // must surface Unknowns=1 in ITS delta, not leak into neighbors.
-  constexpr unsigned Pigeons = 7, Holes = 6;
-  Solver S;
-  std::vector<std::vector<Var>> P(Pigeons, std::vector<Var>(Holes));
-  for (unsigned I = 0; I < Pigeons; ++I)
-    for (unsigned J = 0; J < Holes; ++J)
-      P[I][J] = S.newVar();
-  for (unsigned I = 0; I < Pigeons; ++I) {
-    std::vector<Lit> AtLeastOne;
-    for (unsigned J = 0; J < Holes; ++J)
-      AtLeastOne.push_back(Lit(P[I][J]));
-    ASSERT_TRUE(S.addClause(AtLeastOne));
-  }
-  for (unsigned J = 0; J < Holes; ++J)
-    for (unsigned I1 = 0; I1 < Pigeons; ++I1)
-      for (unsigned I2 = I1 + 1; I2 < Pigeons; ++I2)
-        ASSERT_TRUE(S.addBinary(Lit(P[I1][J], true), Lit(P[I2][J], true)));
-
-  Solver::Statistics Before = S.stats();
-  ASSERT_EQ(S.solve(/*ConflictBudget=*/5), Outcome::Unknown);
-  Solver::Statistics D1 = Solver::Statistics::delta(S.stats(), Before);
-  EXPECT_EQ(D1.Unknowns, 1u);
-  EXPECT_EQ(D1.Conflicts, 5u);
-
-  Before = S.stats();
-  ASSERT_EQ(S.solve(), Outcome::Unsat);
-  Solver::Statistics D2 = Solver::Statistics::delta(S.stats(), Before);
-  EXPECT_EQ(D2.Unknowns, 0u);
-  EXPECT_GT(D2.Conflicts, 0u);
-}
-
-TEST(Sat, SetPhaseSteersTheFirstModel) {
-  // An unconstrained variable takes its seeded phase in the first model,
-  // which is how the shrink ladder keeps its Kill selectors off during
-  // free search.
-  for (bool Phase : {false, true}) {
-    Solver S;
-    Var A = S.newVar(), B = S.newVar();
-    ASSERT_TRUE(S.addClause({Lit(A), Lit(B)}));
-    S.setPhase(A, Phase);
-    S.setPhase(B, true);
-    ASSERT_EQ(S.solve(), Outcome::Sat);
-    EXPECT_EQ(S.value(A), Phase);
-  }
-}
-
 TEST(Sat, ProofWriterRecordsRefutation) {
   // The DRAT-style log of an UNSAT run ends in the empty clause and
   // carries every learnt addition in DIMACS notation.

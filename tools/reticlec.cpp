@@ -19,8 +19,8 @@
 ///     -O                                     run dce/fold/vectorize first
 ///     --no-cascade                           skip the cascade rewrite
 ///     --no-shrink                            skip placement shrinking
-///     --sat-solver=scratch|incremental       shrink-search solver strategy
-///                                            (incremental)
+///     --sat-solver=scratch|propagate         placement attempt strategy
+///                                            (propagate)
 ///     --sat-proof=<file|->                   DRAT-style proof log of the
 ///                                            placement SAT searches
 ///     --stats                                per-stage report on stderr
@@ -164,8 +164,8 @@ void printUsage(std::FILE *Out, const char *Argv0) {
       "  -O                                     run dce/fold/vectorize first\n"
       "  --no-cascade                           skip the cascade rewrite\n"
       "  --no-shrink                            skip placement shrinking\n"
-      "  --sat-solver=scratch|incremental       shrink-search solver strategy "
-      "(incremental)\n"
+      "  --sat-solver=scratch|propagate         placement attempt strategy "
+      "(propagate)\n"
       "  --sat-proof=<file|->                   DRAT-style proof log of the "
       "placement\n"
       "                                         SAT searches\n"
@@ -1100,11 +1100,11 @@ int main(int Argc, char **Argv) {
       std::string Value = Arg.substr(13);
       if (Value == "scratch")
         Args.Options.SatMode = place::SatMode::Scratch;
-      else if (Value == "incremental")
-        Args.Options.SatMode = place::SatMode::Incremental;
+      else if (Value == "propagate")
+        Args.Options.SatMode = place::SatMode::Propagate;
       else
         return usageError("unknown --sat-solver '" + Value +
-                          "' (valid: scratch, incremental)");
+                          "' (valid: scratch, propagate)");
     } else if (Arg.rfind("--sat-proof=", 0) == 0) {
       Args.SatProofPath = Arg.substr(12);
       if (Args.SatProofPath.empty())
