@@ -159,11 +159,9 @@ int main() {
       obs::Coverage Cov;
       sim::ToggleCoverageSink Toggles(Cov);
       sim::WaveSink *Sink = Mode == "coverage" ? &Toggles : nullptr;
-#ifndef RETICLE_NO_TELEMETRY
       sim::VcdWriter Vcd(S.Name);
       if (Mode == "wave")
         Sink = &Vcd;
-#endif
       // Drop the previous call's trace before the timer starts; tearing
       // it down is not part of the engine's work.
       Out = fail<Trace>("not run");
@@ -180,9 +178,7 @@ int main() {
       ++Calls;
       if (!Out)
         break;
-#ifndef RETICLE_NO_TELEMETRY
       VcdBytes = Vcd.text().size();
-#endif
       if (Mode == "coverage") {
         obs::CoverageSnapshot Snap = Cov.snapshot();
         auto It = Snap.find("sim.toggle");
@@ -249,16 +245,9 @@ int main() {
     Rows.push(std::move(Row));
   };
 
-  // The VCD writer is telemetry surface: a RETICLE_NO_TELEMETRY build
-  // measures no waveform rows.
-#ifndef RETICLE_NO_TELEMETRY
-  const std::vector<const char *> Modes = {"none", "wave", "coverage"};
-#else
-  const std::vector<const char *> Modes = {"none", "coverage"};
-#endif
   for (const Subject &S : Subjects) {
     for (const char *Engine : {"interp", "netlist", "vm-ir", "vm-netlist"})
-      for (const char *Mode : Modes)
+      for (const char *Mode : {"none", "wave", "coverage"})
         Measure(S, Engine, Mode);
     // Only the VM engines have a profiled executor; the tree engines have
     // no bytecode sites to attribute.

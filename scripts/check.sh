@@ -10,14 +10,11 @@
 # checked-in golden (tests/goldens/coverage.json), and a profile_diff
 # of two identical profiled VM runs to pin down hot-set determinism.
 # RUN_BENCH=1 additionally runs the microbenchmarks. After the primary
-# build, three hardening builds run: one with the telemetry layer
-# compiled out (-DRETICLE_NO_TELEMETRY=ON), one under ThreadSanitizer
-# exercising the concurrent batch-compile path and concurrent
-# compiled-simulation VM runs, and one under AddressSanitizer +
-# UndefinedBehaviorSanitizer running the waveform, VM, coverage and
-# wave-golden tests (the word-level observation path indexes raw slice
-# arrays). Run from anywhere; builds into <repo>/build (plus
-# build-notelem/, build-tsan/ and build-asan/ siblings).
+# build, two hardening builds run: one under ThreadSanitizer exercising
+# the concurrent batch-compile path and concurrent compiled-simulation
+# VM runs, and one under AddressSanitizer + UndefinedBehaviorSanitizer
+# running the whole ctest suite. Run from anywhere; builds into
+# <repo>/build (plus build-tsan/ and build-asan/ siblings).
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -237,62 +234,6 @@ if [ "${RUN_BENCH:-0}" = "1" ]; then
     grep -q '"propagate_vs_scratch"' "$out/BENCH_place.json"
 fi
 
-echo "== telemetry-free build (-DRETICLE_NO_TELEMETRY=ON) =="
-cmake -B "$repo/build-notelem" -S "$repo" -DRETICLE_NO_TELEMETRY=ON
-cmake --build "$repo/build-notelem" -j"$jobs"
-(cd "$repo/build-notelem" && ctest --output-on-failure -j"$jobs")
-# The compiled-out build still runs the differential oracle but must
-# reject the waveform writers as a usage error (exit 2).
-"$repo/build-notelem/tools/reticlec" --device=small \
-    --run="$repo/examples/traces/mac.trace.json" --sim=both \
-    "$repo/examples/programs/mac.ret"
-# The compiled-simulation VM is engine surface, not telemetry surface:
-# single-engine VM runs and the bytecode disassembler must work with
-# telemetry compiled out.
-"$repo/build-notelem/tools/reticlec" --device=small \
-    --run="$repo/examples/traces/mac.trace.json" --sim=vm-ir \
-    "$repo/examples/programs/mac.ret"
-"$repo/build-notelem/tools/reticlec" --device=small \
-    --run="$repo/examples/traces/mac.trace.json" --sim=vm-netlist \
-    --dump-sim-program=- \
-    "$repo/examples/programs/mac.ret" | grep -q "reticle-sim-program-v1"
-if "$repo/build-notelem/tools/reticlec" --device=small \
-    --run="$repo/examples/traces/mac.trace.json" --vcd=- \
-    "$repo/examples/programs/mac.ret" 2>/dev/null
-then
-    echo "error: --vcd accepted in a RETICLE_NO_TELEMETRY build" >&2
-    exit 1
-fi
-# Coverage recording is telemetry surface too: --coverage must be a
-# usage error (exit 2) while the same compile without it succeeds.
-set +e
-"$repo/build-notelem/tools/reticlec" --device=small --coverage=- \
-    "$repo/examples/programs/mac.ret" >/dev/null 2>&1
-coverage_rc=$?
-set -e
-if [ "$coverage_rc" -ne 2 ]; then
-    echo "error: --coverage exited $coverage_rc (want 2) in a" \
-         "RETICLE_NO_TELEMETRY build" >&2
-    exit 1
-fi
-# So are both profile writers: the VM profile rides the telemetry
-# counters and the flamegraph fold reads the tracing span buffer.
-for flag in --profile-sim=- --profile-folded=-; do
-    set +e
-    "$repo/build-notelem/tools/reticlec" --device=small \
-        --run="$repo/examples/traces/mac.trace.json" --sim=vm-ir \
-        "$flag" "$repo/examples/programs/mac.ret" >/dev/null 2>&1
-    profile_rc=$?
-    set -e
-    if [ "$profile_rc" -ne 2 ]; then
-        echo "error: $flag exited $profile_rc (want 2) in a" \
-             "RETICLE_NO_TELEMETRY build" >&2
-        exit 1
-    fi
-done
-"$repo/build-notelem/tools/reticlec" --device=small \
-    "$repo/examples/programs/mac.ret" >/dev/null
-
 echo "== ThreadSanitizer build: concurrent batch compile =="
 cmake -B "$repo/build-tsan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -311,15 +252,12 @@ cmake --build "$repo/build-tsan" -j"$jobs" \
 "$repo/build-tsan/tools/json_check" --batch-summary \
     "$out/batch-tsan/summary.json"
 
-echo "== AddressSanitizer + UBSan build: word-level waveform path =="
+echo "== AddressSanitizer + UBSan build: the whole ctest suite =="
 cmake -B "$repo/build-asan" -S "$repo" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS -fno-omit-frame-pointer -g" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
-cmake --build "$repo/build-asan" -j"$jobs" \
-    --target wave_test sim_vm_test coverage_test wave_golden_test
-for t in wave_test sim_vm_test coverage_test wave_golden_test; do
-    "$repo/build-asan/tests/$t"
-done
+cmake --build "$repo/build-asan" -j"$jobs"
+(cd "$repo/build-asan" && ctest --output-on-failure -j"$jobs")
 
 echo "ok: build, tests, and all emitted artifacts check out"

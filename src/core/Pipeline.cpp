@@ -260,17 +260,20 @@ Status Pipeline::run(CompileState &State, CompileSession &Session,
       if (Outcome)
         P->spanArgs(Sp, State);
     }
+    // One clock read feeds both the StageTimings slot and the latency
+    // histograms, so the two agree and the recording is not charged to
+    // the pass it records.
+    double Ms = msSince(Start);
+    if (double StageTimings::*Slot = P->timingSlot())
+      State.Result.Times.*Slot = Ms;
     if (Ran) {
       // Latency distributions: every pass execution lands one sample in
       // the aggregate pass histogram and one in its per-pass histogram,
       // so batch compiles expose real p50/p90/p99 per stage.
-      double Ms = msSince(Start);
       const obs::Context &Ctx = Session.context();
       Ctx.histogram("pipeline.pass_ms").record(Ms);
       Ctx.histogram(std::string("pipeline.pass_ms.") + P->name()).record(Ms);
     }
-    if (double StageTimings::*Slot = P->timingSlot())
-      State.Result.Times.*Slot = msSince(Start);
     if (Outcome)
       if (const char *Format = P->snapshotFormat()) {
         // The options' external sink (the legacy hook) wins over the

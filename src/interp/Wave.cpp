@@ -478,8 +478,6 @@ Status ToggleCoverageSink::finish(bool) {
   return Status::success();
 }
 
-#ifndef RETICLE_NO_TELEMETRY
-
 //===----------------------------------------------------------------------===//
 // VcdWriter
 //===----------------------------------------------------------------------===//
@@ -668,5 +666,3 @@ Status WaveJsonWriter::finish(bool Aborted) {
   Out += Footer.str() + "\n";
   return Status::success();
 }
-
-#endif // RETICLE_NO_TELEMETRY

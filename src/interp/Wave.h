@@ -40,9 +40,6 @@
 ///    drives several sinks from one run; and `WaveCapture` keeps the
 ///    per-cycle words in memory so `reticlec` can replay several engine
 ///    runs (with per-engine name prefixes) into one stream after the fact.
-///    The file writers are part of the telemetry surface and compile out
-///    under RETICLE_NO_TELEMETRY; the rest stays, so engine signatures
-///    need no ifdefs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -293,9 +290,7 @@ Status replay(
 /// records no transition; there is no x->v toggle. Edges are counted per
 /// bit with word masks (`(prev ^ cur) & cur` rises, `& prev` falls); bins
 /// are named only in finish(), which folds them into the registry in one
-/// bulk merge — also on an aborted run. Present in every build — under
-/// RETICLE_NO_TELEMETRY the registry is the inline no-op, so recording
-/// vanishes with it.
+/// bulk merge — also on an aborted run.
 class ToggleCoverageSink : public WaveSink {
 public:
   explicit ToggleCoverageSink(obs::Coverage &Cov) : Cov(Cov) {}
@@ -315,8 +310,6 @@ private:
   std::vector<uint64_t> Rises;
   std::vector<uint64_t> Falls;
 };
-
-#ifndef RETICLE_NO_TELEMETRY
 
 /// Writes standard VCD into an in-memory buffer (the driver streams it to
 /// a file or stdout after the run, so aborted runs still flush). Signal
@@ -377,8 +370,6 @@ private:
   std::vector<std::string> Keys;
   uint64_t Cycles = 0;
 };
-
-#endif // RETICLE_NO_TELEMETRY
 
 } // namespace sim
 } // namespace reticle

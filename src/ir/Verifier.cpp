@@ -9,6 +9,9 @@
 #include "ir/DefUse.h"
 #include "obs/Context.h"
 
+#include <map>
+#include <tuple>
+
 using namespace reticle;
 using namespace reticle::ir;
 
@@ -20,16 +23,43 @@ namespace {
 /// compute instructions. Recorded only for functions the verifier
 /// accepts, so the corpus-wide coverage doc never counts rejected IR.
 void recordIrCoverage(const Function &Fn, const obs::Context &Ctx) {
-  obs::Coverage &Cov = Ctx.coverage();
+  // Instructions of one shape (op, result type, resource) hit the same
+  // bins, so count shapes against a representative instruction first and
+  // name each shape's bins once.
+  using Shape = std::tuple<bool, int, bool, unsigned, unsigned, int>;
+  std::map<Shape, std::pair<const Instr *, uint64_t>> Shapes;
   for (const Instr &I : Fn.body()) {
-    const char *Op = I.opName();
     const Type Ty = I.type();
-    Cov.hit("ir.op", Op);
-    Cov.hit("ir.op_type", std::string(Op) + ":" + Ty.str());
-    Cov.hit("ir.lanes", std::to_string(Ty.lanes()));
-    if (!I.isWire())
-      Cov.hit("ir.resource", resourceName(I.resource()));
+    Shape S{I.isWire(),
+            I.isWire() ? static_cast<int>(I.wireOp())
+                       : static_cast<int>(I.compOp()),
+            Ty.isInt(),
+            Ty.width(),
+            Ty.lanes(),
+            I.isWire() ? -1 : static_cast<int>(I.resource())};
+    ++Shapes.try_emplace(S, &I, 0).first->second.second;
   }
+  obs::CoverageBins Ops, OpTypes, Lanes, Resources;
+  for (const auto &[S, Rep] : Shapes) {
+    const auto &[I, N] = Rep;
+    const char *Op = I->opName();
+    const Type Ty = I->type();
+    Ops[Op] += N;
+    OpTypes[std::string(Op) + ":" + Ty.str()] += N;
+    Lanes[std::to_string(Ty.lanes())] += N;
+    if (!I->isWire())
+      Resources[resourceName(I->resource())] += N;
+  }
+  // One registry lock per space.
+  auto Merge = [&Cov = Ctx.coverage()](std::string_view Space,
+                                       obs::CoverageBins &Bins) {
+    if (!Bins.empty())
+      Cov.mergeSpace(Space, std::move(Bins));
+  };
+  Merge("ir.op", Ops);
+  Merge("ir.op_type", OpTypes);
+  Merge("ir.lanes", Lanes);
+  Merge("ir.resource", Resources);
 }
 
 } // namespace

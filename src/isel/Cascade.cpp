@@ -81,6 +81,8 @@ Status reticle::isel::cascadePass(rasm::AsmProgram &Prog,
 
   unsigned FreshVar = 0;
   unsigned ChainsHere = 0, RewrittenHere = 0;
+  // The rewrite's counters and isel.pattern coverage, folded in once below.
+  obs::CoverageBins Patterns;
   for (size_t Head = 0; Head < Body.size(); ++Head) {
     if (!isChainable(Body[Head]) || HasChainablePredecessor(Head))
       continue;
@@ -145,12 +147,10 @@ Status reticle::isel::cascadePass(rasm::AsmProgram &Prog,
         // The cascade variant is a selection pattern becoming used; it
         // shares the isel.pattern coverage space with directly-selected
         // tiles (the Selector declared it).
-        Ctx.coverage().hit("isel.pattern", NewNames[K]);
-        ++Ctx.counter("isel.cascade_rewritten");
+        ++Patterns[NewNames[K]];
         if (Stats)
           ++Stats->Rewritten;
       }
-      ++Ctx.counter("isel.cascade_chains");
       ++ChainsHere;
       RewrittenHere += static_cast<unsigned>(SegLen);
       if (Stats)
@@ -167,6 +167,11 @@ Status reticle::isel::cascadePass(rasm::AsmProgram &Prog,
             .arg("x_var", XVar)
             .arg("y_var", YVar);
     }
+  }
+  if (ChainsHere) {
+    Ctx.counter("isel.cascade_rewritten") += RewrittenHere;
+    Ctx.counter("isel.cascade_chains") += ChainsHere;
+    Ctx.coverage().mergeSpace("isel.pattern", std::move(Patterns));
   }
   // Always leave one verdict, so "the rewrite never fired" is visible in
   // the remarks stream rather than inferred from silence.

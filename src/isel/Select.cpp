@@ -49,20 +49,32 @@ struct Match {
 class Selector {
 public:
   Selector(const Dfg &G, const tdl::Target &Target, const obs::Context &Ctx)
-      : G(G), Target(Target), Ctx(Ctx), Best(G.nodes().size()) {
-    obs::Coverage &Cov = Ctx.coverage();
+      : G(G), Target(Target), Ctx(Ctx), Best(G.nodes().size()),
+        WinsOf(Target.defs().size()) {
     for (const tdl::TargetDef &Def : Target.defs()) {
       const ir::Instr *RootPat = patternRoot(Def);
       if (!RootPat || RootPat->isWire())
         continue; // tiles rooted at wire operations are never selected
       // Declare every pattern that could fire — directly here, or via the
       // cascade rewrite — so never-selected patterns show up as
-      // zero-count bins in the isel.pattern coverage space.
-      Cov.declare("isel.pattern", Def.Name);
+      // zero-count bins in the isel.pattern coverage space. Definitions
+      // overloaded on type share their name's bin.
+      WinsOf[&Def - Target.defs().data()] =
+          &Patterns.try_emplace(Def.Name, 0).first->second;
       if (Def.isCascadeVariant())
         continue;
       DefsByOp[RootPat->compOp()].push_back(&Def);
     }
+  }
+
+  Selector(const Selector &) = delete;
+  Selector &operator=(const Selector &) = delete;
+
+  /// Folds the pattern coverage into the registry on every exit, failed
+  /// selections included: a batch sums failed items' coverage too.
+  ~Selector() {
+    if (!Patterns.empty())
+      Ctx.coverage().mergeSpace("isel.pattern", std::move(Patterns));
   }
 
   Result<rasm::AsmProgram> run(SelectionStats *Stats);
@@ -104,6 +116,10 @@ private:
   std::map<ir::CompOp, std::vector<const tdl::TargetDef *>> DefsByOp;
   /// Memoized minimum-cost cover per DFG node id (== ValueId).
   std::vector<std::optional<std::pair<Cost, Match>>> Best;
+  /// isel.pattern coverage, batched: every declared pattern's bin, and
+  /// each target definition's bin (by definition index).
+  obs::CoverageBins Patterns;
+  std::vector<uint64_t *> WinsOf;
 };
 
 bool Selector::matchOperand(
@@ -322,7 +338,7 @@ Result<Cost> Selector::solve(size_t NodeId) {
                       "' can implement '" + Where + "'");
   }
   // Pattern coverage records every win, whether or not remarks are on.
-  Ctx.coverage().hit("isel.pattern", BestMatch.Def->Name);
+  ++*WinsOf[BestMatch.Def - Target.defs().data()];
   // Why this tile: the chosen pattern, what it costs, and how contested
   // the decision was (rejected = matched alternatives that lost on cost).
   if (Ctx.remarksEnabled())

@@ -25,6 +25,11 @@ using rasm::Coord;
 
 namespace {
 
+/// Initial cap on enumerated base positions per cluster; the first
+/// solution grows it (up to full enumeration) while the capped attempt
+/// is unsatisfiable.
+constexpr size_t InitialCandidateCap = 128;
+
 /// One placeable instruction with normalized coordinate expressions.
 struct Member {
   size_t BodyIndex = 0;
@@ -812,14 +817,13 @@ Result<AsmProgram> Placer::run() {
   // First solution: grow the candidate cap until satisfiable or fully
   // enumerated.
   size_t FullCap = static_cast<size_t>(Dev.numColumns()) * TallestColumn + 1;
-  size_t Cap = std::max<size_t>(Options.InitialCandidateCap,
-                                2 * Clusters.size() + 8);
+  size_t Cap = std::max<size_t>(InitialCandidateCap, 2 * Clusters.size() + 8);
   std::vector<Candidate> BestAssignment;
   SolveInfo Info;
   while (true) {
     std::string Err;
     if (Options.Proof)
-      Options.Proof->comment("place: initial solve, fresh encoding, cap=" +
+      Options.Proof->comment("place: initial attempt, cap=" +
                              std::to_string(Cap));
     // Once the cap admits full enumeration the attempt is conclusive, so
     // an UNSAT there is worth explaining: solveOnce then extracts and

@@ -66,10 +66,6 @@ enum class SatMode : uint8_t { Scratch, Propagate };
 struct PlacementOptions {
   /// Run the binary-search shrinking passes after the first solution.
   bool Shrink = true;
-  /// Initial cap on enumerated base positions per cluster; grows
-  /// automatically (up to full enumeration) when the capped encoding is
-  /// unsatisfiable.
-  unsigned InitialCandidateCap = 128;
   /// How every attempt is answered: Scratch always solves the CNF,
   /// Propagate solves it only when first-fit propagation fails. The
   /// prechecks, the cap growth, the shrink probes' conflict budget and

@@ -81,7 +81,7 @@ enum class Outcome : uint8_t { Sat, Unsat, Unknown };
 /// lines callers may interleave to delimit solves. Every addition is RUP
 /// with respect to the formula plus the additions logged before it, minus
 /// the clauses deleted so far. The writer is plain state with no telemetry
-/// dependency, so proof logging works in RETICLE_NO_TELEMETRY builds.
+/// dependency.
 class ProofWriter {
 public:
   void add(const std::vector<Lit> &Lits) {

@@ -41,7 +41,7 @@ const char *MacSource = R"(
 )";
 
 //===----------------------------------------------------------------------===//
-// Serialization (pure functions over a snapshot: valid in every build)
+// Serialization (pure functions over a snapshot)
 //===----------------------------------------------------------------------===//
 
 TEST(CoverageJson, HitCountsExcludeDeclaredOnlyBins) {
@@ -90,16 +90,9 @@ TEST(CoverageCollectors, SessionsAreIsolatedAndDeterministic) {
   CoverageSnapshot A = CompileOnce();
   CoverageSnapshot B = CompileOnce();
   // Two private sessions over the same source record identical coverage —
-  // nothing leaked across, nothing nondeterministic crept in. (In a
-  // RETICLE_NO_TELEMETRY build both snapshots are empty, which still
-  // satisfies the property.)
+  // nothing leaked across, nothing nondeterministic crept in.
   EXPECT_EQ(A, B);
 }
-
-// Everything below asserts recorded content, which only exists when the
-// telemetry layer is compiled in; obs_noop_test covers the compiled-out
-// no-op surface instead.
-#ifndef RETICLE_NO_TELEMETRY
 
 //===----------------------------------------------------------------------===//
 // The registry
@@ -191,26 +184,64 @@ TEST(CoverageCollectors, CompileRecordsIrAndIselSpaces) {
       core::compileSource(MacSource, "mac.ret", Options, Session);
   ASSERT_TRUE(R.ok()) << R.error();
 
+  // The verifier accepts mac twice per compile (in the parse pass and
+  // when selection builds its dataflow graph), so each of its three
+  // instructions lands in every IR space twice.
   CoverageSnapshot S = Session.coverage().snapshot();
-  ASSERT_TRUE(S.count("ir.op"));
-  EXPECT_GT(S.at("ir.op").count("add"), 0u);
-  EXPECT_GT(S.at("ir.op").at("add"), 0u);
-  EXPECT_GT(S.at("ir.op").count("mul"), 0u);
-  ASSERT_TRUE(S.count("ir.op_type"));
-  EXPECT_GT(S.at("ir.op_type").count("add:i8"), 0u);
-  ASSERT_TRUE(S.count("ir.lanes"));
-  EXPECT_GT(S.at("ir.lanes").at("1"), 0u);
-  ASSERT_TRUE(S.count("ir.resource"));
+  EXPECT_EQ(S.at("ir.op"),
+            (obs::CoverageBins{{"add", 2}, {"mul", 2}, {"reg", 2}}));
+  EXPECT_EQ(S.at("ir.op_type"),
+            (obs::CoverageBins{{"add:i8", 2}, {"mul:i8", 2}, {"reg:i8", 2}}));
+  EXPECT_EQ(S.at("ir.lanes"), (obs::CoverageBins{{"1", 6}}));
+  EXPECT_EQ(S.at("ir.resource"), (obs::CoverageBins{{"??", 6}}));
 
   // The selector declared every selectable pattern up front, so the space
   // is larger than what one small program can hit — never-fired patterns
-  // are zero-count holes.
+  // are zero-count holes. The one tree is covered by muladdreg, whose
+  // memoized sub-covers also won their own nodes.
   ASSERT_TRUE(S.count("isel.pattern"));
-  uint64_t Hit = 0, Holes = 0;
+  obs::CoverageBins Hit;
+  uint64_t Holes = 0;
   for (const auto &[Bin, Count] : S.at("isel.pattern"))
-    (Count ? Hit : Holes)++;
-  EXPECT_GT(Hit, 0u);
-  EXPECT_GT(Holes, 0u);
+    if (Count)
+      Hit.emplace(Bin, Count);
+    else
+      ++Holes;
+  EXPECT_EQ(Hit, (obs::CoverageBins{{"mul", 1}, {"muladd", 1},
+                                    {"muladdreg", 1}}));
+  EXPECT_EQ(Holes, 23u);
+}
+
+TEST(CoverageCollectors, IselErrorKeepsThePatternsHitBeforeIt) {
+  // y's tree is covered before z's resource constraint fails selection;
+  // the session still records y's win and the declared holes, since a
+  // batch sums failed items' coverage too.
+  const char *Source = R"(
+    def f(a:i8, b:i8, c:i8) -> (y:i8, z:i8) {
+      y:i8 = add(a, b) @??;
+      z:i8 = and(a, c) @dsp;
+    }
+  )";
+  core::CompileSession Session;
+  core::CompileOptions Options;
+  Options.Dev = device::Device::small();
+  Result<core::CompileResult> R =
+      core::compileSource(Source, "rejected.ret", Options, Session);
+  ASSERT_FALSE(R.ok());
+  EXPECT_NE(R.error().find("resource constraint is unsatisfiable"),
+            std::string::npos)
+      << R.error();
+
+  CoverageSnapshot S = Session.coverage().snapshot();
+  EXPECT_EQ(S.at("ir.op"), (obs::CoverageBins{{"add", 2}, {"and", 2}}));
+  EXPECT_EQ(S.at("ir.resource"), (obs::CoverageBins{{"??", 2}, {"dsp", 2}}));
+  ASSERT_TRUE(S.count("isel.pattern"));
+  uint64_t Hits = 0;
+  for (const auto &[Bin, Count] : S.at("isel.pattern"))
+    Hits += Count;
+  EXPECT_EQ(S.at("isel.pattern").size(), 26u);
+  EXPECT_EQ(S.at("isel.pattern").at("add"), 1u);
+  EXPECT_EQ(Hits, 1u);
 }
 
 TEST(CoverageCollectors, StatsDocEmbedsTheCoverageSection) {
@@ -331,7 +362,5 @@ TEST(CoverageBatch, MergedSnapshotIsASupersetOfEveryItem) {
   ASSERT_NE(Cov, nullptr);
   EXPECT_NE(Cov->find("spaces")->find("ir.op"), nullptr);
 }
-
-#endif // RETICLE_NO_TELEMETRY
 
 } // namespace

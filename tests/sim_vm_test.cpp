@@ -454,9 +454,6 @@ TEST(SimVm, EmitterPeepholeShiftsDebugMarks) {
 }
 
 TEST(SimVm, EmitterCountsStaticOpcodeHistogram) {
-#ifdef RETICLE_NO_TELEMETRY
-  GTEST_SKIP() << "telemetry compiled out";
-#endif
   obs::Telemetry Telem;
   obs::RemarkStream Rem;
   obs::Coverage Cov;

@@ -51,8 +51,6 @@
 using namespace reticle;
 using interp::Trace;
 
-#ifndef RETICLE_NO_TELEMETRY
-
 namespace {
 
 std::string readFile(const std::string &Path) {
@@ -336,5 +334,3 @@ TEST(WaveAbort, WrongTypedInputAtCycle3FlushesOnEveryEngine) {
 }
 
 } // namespace
-
-#endif // RETICLE_NO_TELEMETRY

@@ -179,12 +179,10 @@ TEST(WaveRecorder, DetectsChangesAndCountsToggles) {
   EXPECT_TRUE(Cap.finished());
   EXPECT_FALSE(Cap.aborted());
 
-#ifndef RETICLE_NO_TELEMETRY
   EXPECT_EQ(Ctx.counter("sim.signals").load(), 2u);
   EXPECT_EQ(Ctx.counter("sim.events").load(), 4u);
   // First sight toggles the full width (4 + 1); cycle 1 flips one bit.
   EXPECT_EQ(Ctx.counter("sim.toggles").load(), 6u);
-#endif
 }
 
 TEST(WaveRecorder, NormalizesBitsToDeclaredWidth) {
@@ -285,8 +283,6 @@ TEST(WaveFanout, EverySinkSeesTheSameRun) {
     EXPECT_EQ(sim::bitsToString(*C->valueAt(0, "y")), "011");
   }
 }
-
-#ifndef RETICLE_NO_TELEMETRY
 
 //===----------------------------------------------------------------------===//
 // VcdWriter
@@ -431,8 +427,6 @@ TEST(WaveJsonWriter, EveryLineParsesAndNothingIsSuppressed) {
   EXPECT_EQ(Footer.find("cycles")->asInt(), 3);
   EXPECT_TRUE(Footer.find("aborted")->asBool());
 }
-
-#endif // RETICLE_NO_TELEMETRY
 
 //===----------------------------------------------------------------------===//
 // Input-trace parsing (reticle-input-trace-v1)
@@ -611,13 +605,11 @@ TEST(WaveEngines, InterpreterAbortFlushesTruncatedCapture) {
   EXPECT_TRUE(Cap.aborted());
   EXPECT_EQ(Cap.cycles(), 2u);
   ASSERT_TRUE(Cap.valueAt(1, "y"));
-#ifndef RETICLE_NO_TELEMETRY
   // Replaying the truncated capture still renders well-formed VCD.
   sim::VcdWriter W("mac");
   ASSERT_TRUE(sim::replay({{&Cap, ""}}, W).ok());
   EXPECT_NE(W.text().find("$comment aborted $end"), std::string::npos);
   EXPECT_EQ(checkVcdShape(W.text()), "");
-#endif
 }
 
 TEST(WaveEngines, NetlistAndInterpreterAgreeOnSharedPorts) {
@@ -660,8 +652,6 @@ TEST(WaveEngines, NetlistAndInterpreterAgreeOnSharedPorts) {
   }
   EXPECT_EQ(Shared, 5u); // a, b, c, en, y
 }
-
-#ifndef RETICLE_NO_TELEMETRY
 
 // A single-engine run streams straight into its sinks; --sim=both
 // captures and replays. Both paths must render the same bytes and bins.
@@ -716,8 +706,6 @@ TEST(WaveEngines, DirectSinksMatchCaptureThenReplay) {
   }
 }
 
-#endif // RETICLE_NO_TELEMETRY
-
 //===----------------------------------------------------------------------===//
 // The stats document's sim section
 //===----------------------------------------------------------------------===//
@@ -748,15 +736,11 @@ TEST(WaveStats, SimSectionReflectsTheRun) {
   ASSERT_NE(Sim->find("signals"), nullptr);
   ASSERT_NE(Sim->find("interp"), nullptr);
   ASSERT_NE(Sim->find("netlist"), nullptr);
-#ifndef RETICLE_NO_TELEMETRY
   EXPECT_EQ(Sim->find("cycles")->asInt(), 4);
   EXPECT_EQ(Sim->find("interp")->find("cycles")->asInt(), 4);
   EXPECT_GT(Sim->find("interp")->find("evals")->asInt(), 0);
   EXPECT_EQ(Sim->find("signals")->asInt(), 7); // a b c en t0 t1 y
   EXPECT_GT(Sim->find("events")->asInt(), 0);
-#else
-  EXPECT_EQ(Sim->find("cycles")->asInt(), 0);
-#endif
 }
 
 } // namespace
