@@ -47,6 +47,7 @@ trap 'rm -rf "$out"' EXIT
     --require=sat.solver_mode --require=sat.shrink_ms \
     --require=sat.shrink.probes --require=sat.shrink.precheck_probes \
     --require=sat.cnf_solves \
+    --require=sat.enumerate_ms --require=sat.candidates \
     --require=utilization.luts "$out/stats.json"
 "$build/tools/json_check" --require=traceEvents "$out/trace.json"
 "$build/tools/json_check" --require=schema \
@@ -98,6 +99,15 @@ for mode in propagate scratch; do
     "$build/tools/json_check" remark_diff \
         "$out/probes-$mode-a.jsonl" "$out/probes-$mode-b.jsonl"
     grep -q '"shrink-probe"' "$out/probes-$mode-a.jsonl"
+    # Ratchet against the checked-in stream, so a change to what the
+    # placer searches shows up even when both modes drift together.
+    # Regenerate (after inspecting the diff) with
+    #   build/tools/reticlec --device=small --emit=placed -o /dev/null \
+    #       --remarks-json=tests/goldens/fsm_shrink/remarks.jsonl \
+    #       tests/inputs/fsm_shrink.ret
+    "$build/tools/json_check" remark_diff \
+        "$repo/tests/goldens/fsm_shrink/remarks.jsonl" \
+        "$out/probes-$mode-a.jsonl"
 done
 
 echo "== batch compile end to end =="

@@ -42,7 +42,9 @@ public:
     Result<ir::Function> Fn = ir::parseFunction(State.Source);
     if (!Fn)
       return Status::failure(Fn.error());
-    if (Status S = ir::verify(Fn.value(), Session.context()); !S)
+    // Selection verifies the function again and records its coverage.
+    if (Status S = ir::verifyWithoutCoverage(Fn.value(), Session.context());
+        !S)
       return S;
     State.Fn = Fn.take();
     return Status::success();

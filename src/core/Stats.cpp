@@ -80,6 +80,8 @@ Json reticle::core::statsJson(const CompileResult &Result,
   SatProfile.set("budget_exhausted", Result.PlaceStats.BudgetExhausted);
   SatProfile.set("time_ms", Result.PlaceStats.SatMs);
   SatProfile.set("shrink_ms", Result.PlaceStats.ShrinkMs);
+  SatProfile.set("enumerate_ms", Result.PlaceStats.EnumerateMs);
+  SatProfile.set("candidates", Result.PlaceStats.Candidates);
   SatProfile.set("conflicts", Result.PlaceStats.Conflicts);
   SatProfile.set("decisions", Result.PlaceStats.Decisions);
   SatProfile.set("propagations", Result.PlaceStats.Propagations);

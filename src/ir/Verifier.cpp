@@ -281,7 +281,8 @@ Result<std::vector<size_t>> reticle::ir::topoOrder(const Function &Fn,
   return DU.topoOrder();
 }
 
-Status reticle::ir::verify(const Function &Fn, const obs::Context &Ctx) {
+Status reticle::ir::verifyWithoutCoverage(const Function &Fn,
+                                          const obs::Context &Ctx) {
   // Unique port and destination names. The analysis records the first
   // duplicate in scan order (inputs before body), matching the order the
   // old set-insertion loop reported them in.
@@ -324,7 +325,12 @@ Status reticle::ir::verify(const Function &Fn, const obs::Context &Ctx) {
   if (!DU.topoOk())
     return Status::failure("function '" + Fn.name() +
                            "' has a combinational cycle (register-free loop)");
+  return Status::success();
+}
 
+Status reticle::ir::verify(const Function &Fn, const obs::Context &Ctx) {
+  if (Status S = verifyWithoutCoverage(Fn, Ctx); !S)
+    return S;
   recordIrCoverage(Fn, Ctx);
   return Status::success();
 }

@@ -26,9 +26,18 @@ namespace ir {
 
 /// Verifies naming, typing, and acyclicity of \p Fn. Runs off the cached
 /// DefUse analysis (building it on first use), so a verified function
-/// hands every later stage a warm cache.
+/// hands every later stage a warm cache. An accepted function's static IR
+/// coverage is recorded in \p Ctx.
 Status verify(const Function &Fn,
               const obs::Context &Ctx = obs::defaultContext());
+
+/// verify() without the coverage record, for a stage whose function is
+/// verified again later in the same compile: the parse pass rejects bad
+/// source with it, and selection's verify() then counts the function once
+/// (compile(Fn) has no parse pass, so that is the one site every compile
+/// reaches).
+Status verifyWithoutCoverage(const Function &Fn,
+                             const obs::Context &Ctx = obs::defaultContext());
 
 /// Computes a topological order of the non-register instructions of \p Fn
 /// (indices into the body). Register instructions are excluded from the

@@ -16,6 +16,7 @@
 #include <optional>
 #include <set>
 #include <tuple>
+#include <utility>
 
 using namespace reticle;
 using namespace reticle::place;
@@ -26,33 +27,47 @@ using rasm::Coord;
 namespace {
 
 /// Initial cap on enumerated base positions per cluster; the first
-/// solution grows it (up to full enumeration) while the capped attempt
-/// is unsatisfiable.
+/// solution grows it (x4, up to full enumeration) while the capped attempt
+/// is unsatisfiable. The cap is part of what an attempt encodes: without
+/// it the initial attempt's candidate lists, and with them its decision
+/// and propagation counts and the `candidate cap` remark, would change.
 constexpr size_t InitialCandidateCap = 128;
 
-/// One placeable instruction with normalized coordinate expressions.
+/// One placeable instruction. For its cluster's variable bases
+/// (XBase, YBase) it occupies ((XRel ? XBase : 0) + DX,
+/// (YRel ? YBase : 0) + DY): a relative coordinate adds its offset to the
+/// base, a literal one is its offset.
 struct Member {
   size_t BodyIndex = 0;
-  Coord X;
-  Coord Y;
+  int64_t DX = 0;
+  int64_t DY = 0;
+  bool XRel = false;
+  bool YRel = false;
 };
 
-/// A rigid group of instructions related by shared coordinate variables.
+/// A concrete base assignment for a cluster's variables (0 on an axis the
+/// cluster has no variable for): one placement candidate.
+struct Base {
+  unsigned X = 0;
+  unsigned Y = 0;
+};
+
+/// A rigid group of instructions related by shared coordinate variables,
+/// with the bound-independent parts of its candidate enumeration.
 struct Cluster {
   ir::Resource Prim = ir::Resource::Lut;
   std::optional<std::string> XVar;
   std::optional<std::string> YVar;
   std::vector<Member> Members;
-  /// True when every member coordinate is a literal; such clusters are
-  /// pre-placed and only contribute occupancy.
-  bool isFixed() const { return !XVar && !YVar; }
-};
+  /// The x bases at which every member lands in a column of Prim,
+  /// ascending ({0} or nothing without an x variable). An attempt's
+  /// bounds only cut this list.
+  std::vector<unsigned> BaseColumns;
 
-/// A concrete base assignment for a cluster's variables.
-struct Candidate {
-  int64_t XBase = 0;
-  int64_t YBase = 0;
-  std::vector<device::Slot> Slots; // one per member, in member order
+  device::Slot slotOf(const Member &M, Base B) const {
+    return {static_cast<unsigned>((M.XRel ? B.X : 0) + M.DX),
+            static_cast<unsigned>((M.YRel ? B.Y : 0) + M.DY)};
+  }
 };
 
 /// Per-kind area bounds used by the shrinking passes (exclusive).
@@ -60,17 +75,6 @@ struct Bounds {
   unsigned MaxColumn = 0; ///< columns with index <= MaxColumn usable
   unsigned MaxRow = 0;    ///< rows with index <= MaxRow usable
 };
-
-/// Resolves a member's coordinates for given variable bases.
-bool memberSlot(const Member &M, int64_t XBase, int64_t YBase,
-                device::Slot &Out) {
-  int64_t X = M.X.isLit() ? M.X.offset() : XBase + M.X.offset();
-  int64_t Y = M.Y.isLit() ? M.Y.offset() : YBase + M.Y.offset();
-  if (X < 0 || Y < 0)
-    return false;
-  Out = device::Slot{static_cast<unsigned>(X), static_cast<unsigned>(Y)};
-  return true;
-}
 
 /// Sequential at-most-one encoding over \p Lits. When \p Selector is
 /// given, every emitted clause is guarded by it (clause ∨ ¬selector), so
@@ -113,9 +117,14 @@ public:
 
 private:
   Status buildClusters();
-  Result<std::vector<Candidate>> enumerate(const Cluster &C,
-                                           const Bounds &B,
-                                           size_t Cap) const;
+  /// Fills the candidate tables for one attempt: every cluster's first
+  /// \p Cap valid bases under \p B, in (x, y) order. Returns the index of
+  /// the first cluster left without a candidate, or SIZE_MAX.
+  size_t enumerate(const Bounds &B, size_t Cap);
+  /// Whether no member of \p C at \p Cand lands on a pinned slot.
+  bool isFree(const Cluster &C, Base Cand) const;
+  /// Builds the slot -> users table of the current candidates under \p B.
+  void buildUsers(const Bounds &B);
   /// Per-attempt search effort, reported back to the caller so shrink
   /// probes can attribute their cost (and distinguish a proved UNSAT from
   /// an exhausted budget).
@@ -129,8 +138,8 @@ private:
     bool SatBacked = false;
   };
   /// One placement attempt under the given bounds. On success fills
-  /// \p Assignment with the chosen candidate per non-fixed cluster. In
-  /// Propagate mode the enumerated candidates go through propagate() first
+  /// \p Assignment with the chosen base per non-fixed cluster. In
+  /// Propagate mode the candidate tables go through propagate() first
   /// and the CNF is built only when it fails. A nonzero \p ConflictBudget
   /// bounds the CNF search (shrinking attempts give up rather than fight
   /// pigeonhole-hard instances). With \p Explain set,
@@ -140,39 +149,41 @@ private:
   /// group is reported as a named sat:core remark and a
   /// PlacementStats::Core entry.
   enum class Attempt { Sat, Unsat, Error };
-  Attempt solveOnce(const Bounds &B, size_t Cap,
-                    std::vector<Candidate> &Assignment, std::string &Err,
-                    uint64_t ConflictBudget = 0, bool Explain = false,
-                    SolveInfo *Info = nullptr);
+  Attempt solveOnce(const Bounds &B, size_t Cap, std::vector<Base> &Assignment,
+                    std::string &Err, uint64_t ConflictBudget = 0,
+                    bool Explain = false, SolveInfo *Info = nullptr);
   /// Records one named core constraint (stats + sat:core remark).
   void noteCore(const std::string &Kind, const std::string &Instr,
                 const std::string &Detail);
   /// Selector-tagged re-encoding and core extraction for a proved-UNSAT
-  /// attempt; \p Cands holds the enumerated candidates per cluster.
-  void explainUnsat(const std::vector<std::vector<Candidate>> &Cands);
+  /// attempt, from the attempt's candidate and slot tables.
+  void explainUnsat();
 
   /// Arithmetic infeasibility precheck shared by every solve path: demand
   /// vs capacity within the bounds, and cascade-chain segment capacity.
   /// Returns true (and tags \p Sp) when \p B provably cannot fit.
   bool capacityInfeasible(const Bounds &B, bool Explain, obs::Span &Sp);
 
-  /// First-fit unit propagation over one attempt's enumerated
-  /// candidates. Replays what the CDCL solver does on their CNF while it
-  /// meets no conflict: every single-candidate cluster is a root unit,
-  /// then each decision sets the lowest unassigned variable true — the
-  /// lowest live candidate of the first unplaced cluster — and unit
-  /// propagation kills every candidate sharing a slot with a chosen one
-  /// and chooses any cluster left with one live candidate. Returns false
-  /// exactly where the solver would hit a conflict (a cluster's domain
-  /// empties, or a chosen candidate lists one slot twice); otherwise
-  /// fills \p Assignment with the solver's model, and \p Decisions and
+  /// First-fit unit propagation over the attempt's candidate tables.
+  /// Replays what the CDCL solver does on their CNF while it meets no
+  /// conflict: every single-candidate cluster is a root unit, then each
+  /// decision sets the lowest unassigned variable true — the lowest live
+  /// candidate of the first unplaced cluster — and unit propagation kills
+  /// every candidate sharing a slot with a chosen one and chooses any
+  /// cluster left with one live candidate. Returns false exactly where
+  /// the solver would hit a conflict (a cluster's domain empties, or a
+  /// chosen candidate names one slot twice); otherwise fills
+  /// \p Assignment with the solver's model, and \p Decisions and
   /// \p Propagations with the counts the solver would have reported.
-  bool propagate(const std::vector<std::vector<Candidate>> &Cands,
-                 const Bounds &B, std::vector<Candidate> &Assignment,
-                 uint64_t &Decisions, uint64_t &Propagations) const;
+  bool propagate(std::vector<Base> &Assignment, uint64_t &Decisions,
+                 uint64_t &Propagations) const;
 
   /// Accumulates one fresh solver's effort into PlacementStats.
   void accumulate(const sat::Solver::Statistics &D, bool BudgetHit);
+
+  /// The placed slots of \p Assignment, cluster by cluster in member
+  /// order.
+  std::vector<device::Slot> slotsOf(const std::vector<Base> &Assignment) const;
 
   const AsmProgram &Prog;
   const device::Device &Dev;
@@ -180,9 +191,38 @@ private:
   PlacementStats *Stats;
   const obs::Context &Ctx;
 
-  std::vector<Cluster> Clusters;      // non-fixed
-  std::vector<Cluster> FixedClusters; // fully literal
-  std::set<device::Slot> FixedSlots;
+  std::vector<Cluster> Clusters; // non-fixed
+  /// Fully literal instructions: (body index, slot), sorted by slot, and
+  /// their slots as a dense occupancy grid: slot (x, y) is
+  /// PinnedAt[x * GridRows + y].
+  std::vector<std::pair<size_t, device::Slot>> Pinned;
+  std::vector<uint8_t> PinnedAt;
+  unsigned GridRows = 0;
+
+  /// Bound-independent inputs of the capacity precheck, per kind: the
+  /// slots demanded, the clusters spanning two or more rows, and the
+  /// shortest of those.
+  struct KindDemand {
+    size_t Need = 0;
+    size_t Tall = 0;
+    unsigned MinHeight = 1;
+  };
+  std::map<ir::Resource, KindDemand> Demand;
+
+  /// One attempt's candidates, in the CNF's variable order: cluster I
+  /// owns Cands[First[I] .. First[I + 1]), and ClusterOf maps a candidate
+  /// back to its cluster.
+  std::vector<Base> Cands;
+  std::vector<uint32_t> First;
+  std::vector<uint32_t> ClusterOf;
+  /// Slot -> users CSR over the attempt's bounds, one entry per member
+  /// slot exactly as the CNF's slot at-most-one lists them: slot (x, y)
+  /// has key x * (MaxRow + 1) + y, its users are
+  /// Users[UserStart[key] .. UserStart[key + 1]) in candidate order, and a
+  /// candidate naming one slot twice appears twice.
+  std::vector<uint32_t> UserStart;
+  std::vector<uint32_t> Users;
+  unsigned UserRows = 0;
 };
 
 Status Placer::buildClusters() {
@@ -230,15 +270,13 @@ Status Placer::buildClusters() {
     Instrs.push_back({I, A.loc().Prim, X, Y});
   }
 
-  // Group by representative id; fully literal instructions form fixed
-  // singleton clusters. Cluster indices follow first-seen scan order.
+  // Group by representative id; fully literal instructions are pinned and
+  // only occupy their slot. Cluster indices follow first-seen scan order.
   std::vector<size_t> GroupOf(Parent.size(), SIZE_MAX);
+  std::vector<const NormInstr *> Pins;
   for (const NormInstr &N : Instrs) {
     if (!N.X.isVar() && !N.Y.isVar()) {
-      Cluster C;
-      C.Prim = N.Prim;
-      C.Members.push_back({N.BodyIndex, N.X, N.Y});
-      FixedClusters.push_back(std::move(C));
+      Pins.push_back(&N);
       continue;
     }
     ir::ValueId Rep =
@@ -271,70 +309,144 @@ Status Placer::buildClusters() {
                                "('" + *C.YVar + "' and '" + N.Y.name() +
                                "'); this layout constraint is unsupported");
     }
-    C.Members.push_back({N.BodyIndex, N.X, N.Y});
+    C.Members.push_back(
+        {N.BodyIndex, N.X.offset(), N.Y.offset(), N.X.isVar(), N.Y.isVar()});
   }
 
-  // Fixed clusters occupy slots up front.
-  for (const Cluster &C : FixedClusters) {
-    const Member &M = C.Members[0];
-    device::Slot S;
-    if (!memberSlot(M, 0, 0, S) ||
-        !Dev.isValidSlot(C.Prim, S.X, S.Y))
+  // Pinned instructions occupy their slots up front, recorded in a dense
+  // occupancy grid that candidate enumeration tests in O(1).
+  GridRows = std::max(Dev.maxHeight(ir::Resource::Lut),
+                      Dev.maxHeight(ir::Resource::Dsp));
+  PinnedAt.assign(size_t(Dev.numColumns()) * GridRows, 0);
+  for (const NormInstr *N : Pins) {
+    int64_t X = N->X.offset(), Y = N->Y.offset();
+    if (X < 0 || Y < 0 ||
+        !Dev.isValidSlot(N->Prim, static_cast<unsigned>(X),
+                         static_cast<unsigned>(Y)))
       return Status::failure(
-          "pinned location " + Prog.body()[M.BodyIndex].loc().str() +
-          " is not a valid " + ir::resourceName(C.Prim) + " slot on device '" +
-          Dev.name() + "'");
-    if (!FixedSlots.insert(S).second)
+          "pinned location " + Prog.body()[N->BodyIndex].loc().str() +
+          " is not a valid " + ir::resourceName(N->Prim) +
+          " slot on device '" + Dev.name() + "'");
+    device::Slot S{static_cast<unsigned>(X), static_cast<unsigned>(Y)};
+    uint8_t &At = PinnedAt[size_t(S.X) * GridRows + S.Y];
+    if (At)
       return Status::failure("two instructions pinned to one slot");
+    At = 1;
+    Pinned.push_back({N->BodyIndex, S});
+  }
+  std::sort(Pinned.begin(), Pinned.end(),
+            [](const auto &A, const auto &B) { return A.second < B.second; });
+
+  for (Cluster &C : Clusters) {
+    // Valid x bases, ignoring bounds.
+    for (unsigned XB = 0; XB < (C.XVar ? Dev.numColumns() : 1u); ++XB) {
+      bool Ok = true;
+      for (const Member &M : C.Members) {
+        int64_t X = (M.XRel ? XB : 0) + M.DX;
+        Ok = X >= 0 && X < Dev.numColumns() &&
+             Dev.columns()[X].Kind == C.Prim;
+        if (!Ok)
+          break;
+      }
+      if (Ok)
+        C.BaseColumns.push_back(XB);
+    }
+    // Row span of the relative-row members.
+    int64_t MinDy = 0, MaxDy = 0;
+    bool First = true;
+    for (const Member &M : C.Members) {
+      if (!M.YRel)
+        continue;
+      MinDy = First ? M.DY : std::min(MinDy, M.DY);
+      MaxDy = First ? M.DY : std::max(MaxDy, M.DY);
+      First = false;
+    }
+    unsigned Height = First ? 1 : static_cast<unsigned>(MaxDy - MinDy + 1);
+    // The capacity precheck's bound-independent demand.
+    KindDemand &D = Demand[C.Prim];
+    D.Need += C.Members.size();
+    if (Height >= 2) {
+      D.MinHeight = D.Tall == 0 ? Height : std::min(D.MinHeight, Height);
+      ++D.Tall;
+    }
   }
   return Status::success();
 }
 
-Result<std::vector<Candidate>>
-Placer::enumerate(const Cluster &C, const Bounds &B, size_t Cap) const {
-  std::vector<Candidate> Out;
-  // Column (x) base values to try: all usable columns when XVar is free,
-  // else the single value 0 (unused).
+bool Placer::isFree(const Cluster &C, Base Cand) const {
+  return std::none_of(C.Members.begin(), C.Members.end(),
+                      [&](const Member &M) {
+                        device::Slot S = C.slotOf(M, Cand);
+                        return PinnedAt[size_t(S.X) * GridRows + S.Y] != 0;
+                      });
+}
+
+size_t Placer::enumerate(const Bounds &B, size_t Cap) {
+  Cands.clear();
+  ClusterOf.clear();
+  First.assign(1, 0);
   unsigned NumCols = std::min<unsigned>(Dev.numColumns(), B.MaxColumn + 1);
-  unsigned MaxRows = std::min<unsigned>(Dev.maxHeight(C.Prim), B.MaxRow + 1);
-  std::vector<int64_t> XBases;
-  if (C.XVar) {
-    for (unsigned X = 0; X < NumCols; ++X)
-      XBases.push_back(X);
-  } else {
-    XBases.push_back(0);
-  }
-  std::vector<int64_t> YBases;
-  if (C.YVar) {
-    for (unsigned Y = 0; Y < MaxRows; ++Y)
-      YBases.push_back(Y);
-  } else {
-    YBases.push_back(0);
-  }
-  for (int64_t XB : XBases) {
-    for (int64_t YB : YBases) {
-      Candidate Cand;
-      Cand.XBase = XB;
-      Cand.YBase = YB;
-      bool Ok = true;
+  for (size_t I = 0; I < Clusters.size(); ++I) {
+    const Cluster &C = Clusters[I];
+    int64_t MaxRows =
+        C.YVar ? std::min<unsigned>(Dev.maxHeight(C.Prim), B.MaxRow + 1) : 1;
+    size_t Left = Cap;
+    for (unsigned XB : C.BaseColumns) {
+      if (XB >= NumCols || Left == 0)
+        break;
+      // The y bases keeping every member inside its column and the
+      // bounds form one interval [Lo, Hi).
+      int64_t Lo = 0, Hi = MaxRows;
       for (const Member &M : C.Members) {
-        device::Slot S;
-        if (!memberSlot(M, XB, YB, S) || S.X > B.MaxColumn ||
-            S.Y > B.MaxRow || !Dev.isValidSlot(C.Prim, S.X, S.Y) ||
-            FixedSlots.count(S)) {
-          Ok = false;
+        int64_t X = (M.XRel ? XB : 0) + M.DX;
+        if (X > B.MaxColumn) {
+          Hi = 0;
           break;
         }
-        Cand.Slots.push_back(S);
+        int64_t Top =
+            std::min<int64_t>(Dev.columns()[X].Height, int64_t(B.MaxRow) + 1);
+        if (M.YRel) {
+          Lo = std::max(Lo, -M.DY);
+          Hi = std::min(Hi, Top - M.DY);
+        } else if (M.DY < 0 || M.DY >= Top) {
+          Hi = 0;
+          break;
+        }
       }
-      if (!Ok)
-        continue;
-      Out.push_back(std::move(Cand));
-      if (Out.size() >= Cap)
-        return Out;
+      for (int64_t YB = Lo; YB < Hi && Left; ++YB) {
+        Base Cand{XB, static_cast<unsigned>(YB)};
+        if (!Pinned.empty() && !isFree(C, Cand))
+          continue;
+        Cands.push_back(Cand);
+        ClusterOf.push_back(static_cast<uint32_t>(I));
+        --Left;
+      }
     }
+    First.push_back(static_cast<uint32_t>(Cands.size()));
+    if (First[I + 1] == First[I])
+      return I;
   }
-  return Out;
+  return SIZE_MAX;
+}
+
+void Placer::buildUsers(const Bounds &B) {
+  UserRows = B.MaxRow + 1;
+  UserStart.assign((size_t(B.MaxColumn) + 1) * UserRows + 1, 0);
+  auto Key = [&](const device::Slot &S) {
+    return size_t(S.X) * UserRows + S.Y;
+  };
+  for (size_t I = 0; I < Clusters.size(); ++I)
+    for (uint32_t G = First[I]; G < First[I + 1]; ++G)
+      for (const Member &M : Clusters[I].Members)
+        ++UserStart[Key(Clusters[I].slotOf(M, Cands[G])) + 1];
+  for (size_t K = 1; K < UserStart.size(); ++K)
+    UserStart[K] += UserStart[K - 1];
+  Users.resize(UserStart.back());
+  std::vector<uint32_t> Fill(UserStart.begin(), UserStart.end() - 1);
+  for (size_t I = 0; I < Clusters.size(); ++I)
+    for (uint32_t G = First[I]; G < First[I + 1]; ++G)
+      for (const Member &M : Clusters[I].Members)
+        Users[Fill[Key(Clusters[I].slotOf(M, Cands[G]))]++] = G;
 }
 
 void Placer::noteCore(const std::string &Kind, const std::string &Instr,
@@ -353,45 +465,14 @@ bool Placer::capacityInfeasible(const Bounds &B, bool Explain,
                                 obs::Span &Sp) {
   // Capacity precheck: SAT needs no help recognizing that N instructions
   // cannot fit N-1 slots, but resolution proofs of pigeonhole formulas are
-  // exponential, so rule the case out arithmetically first.
-  std::map<ir::Resource, size_t> Demand;
-  for (const Cluster &C : Clusters)
-    Demand[C.Prim] += C.Members.size();
-  // Tall clusters (cascade chains) need that many *consecutive* rows in
-  // one column; bound the number of placeable tall clusters per kind by
-  // the shortest chain height. This is a sound relaxation that rejects
-  // the pigeonhole-shaped shrink probes arithmetically.
-  std::map<ir::Resource, std::pair<size_t, unsigned>> TallClusters;
-  for (const Cluster &C : Clusters) {
-    int64_t MinDy = 0, MaxDy = 0;
-    bool First = true;
-    for (const Member &M : C.Members) {
-      if (!M.Y.isVar())
-        continue;
-      if (First) {
-        MinDy = MaxDy = M.Y.offset();
-        First = false;
-      } else {
-        MinDy = std::min(MinDy, M.Y.offset());
-        MaxDy = std::max(MaxDy, M.Y.offset());
-      }
-    }
-    unsigned Height = First ? 1 : static_cast<unsigned>(MaxDy - MinDy + 1);
-    if (Height < 2)
-      continue;
-    auto &[Count, MinHeight] = TallClusters[C.Prim];
-    ++Count;
-    MinHeight = Count == 1 ? Height : std::min(MinHeight, Height);
-  }
-  for (auto &[Kind, Need] : Demand) {
+  // exponential, so rule the case out arithmetically first. Tall clusters
+  // (cascade chains) need that many *consecutive* rows in one column;
+  // bound the number of placeable tall clusters per kind by the shortest
+  // chain height. This is a sound relaxation that rejects the
+  // pigeonhole-shaped shrink probes arithmetically.
+  for (const auto &[Kind, D] : Demand) {
     size_t Capacity = 0;
     size_t SegmentCapacity = 0;
-    unsigned MinHeight = 1;
-    size_t TallNeed = 0;
-    if (auto It = TallClusters.find(Kind); It != TallClusters.end()) {
-      TallNeed = It->second.first;
-      MinHeight = It->second.second;
-    }
     unsigned NumCols = std::min<unsigned>(Dev.numColumns(), B.MaxColumn + 1);
     for (unsigned X = 0; X < NumCols; ++X) {
       const device::Column &Col = Dev.columns()[X];
@@ -399,13 +480,13 @@ bool Placer::capacityInfeasible(const Bounds &B, bool Explain,
         continue;
       unsigned Rows = std::min<unsigned>(Col.Height, B.MaxRow + 1);
       Capacity += Rows;
-      SegmentCapacity += Rows / MinHeight;
+      SegmentCapacity += Rows / D.MinHeight;
     }
-    for (const device::Slot &S : FixedSlots)
+    for (const auto &[BodyIndex, S] : Pinned)
       if (S.X <= B.MaxColumn && S.Y <= B.MaxRow &&
           Dev.columns()[S.X].Kind == Kind)
         --Capacity;
-    if (Need > Capacity || TallNeed > SegmentCapacity) {
+    if (D.Need > Capacity || D.Tall > SegmentCapacity) {
       Sp.arg("outcome", "precheck_unsat");
       if (Explain) {
         // Name the resource and a representative demanding instruction so
@@ -417,17 +498,17 @@ bool Placer::capacityInfeasible(const Bounds &B, bool Explain,
             break;
           }
         std::string Detail =
-            Need > Capacity
-                ? "demand for " + std::to_string(Need) + " " +
+            D.Need > Capacity
+                ? "demand for " + std::to_string(D.Need) + " " +
                       std::string(ir::resourceName(Kind)) +
                       " slot(s) exceeds the " + std::to_string(Capacity) +
                       " available within columns <= " +
                       std::to_string(B.MaxColumn) + ", rows <= " +
                       std::to_string(B.MaxRow) + " on device '" + Dev.name() +
                       "'"
-                : std::to_string(TallNeed) + " cascade chain(s) of height >= " +
-                      std::to_string(MinHeight) + " need " +
-                      std::to_string(TallNeed) +
+                : std::to_string(D.Tall) + " cascade chain(s) of height >= " +
+                      std::to_string(D.MinHeight) + " need " +
+                      std::to_string(D.Tall) +
                       " consecutive-row segment(s) but only " +
                       std::to_string(SegmentCapacity) + " fit in " +
                       std::string(ir::resourceName(Kind)) +
@@ -442,10 +523,9 @@ bool Placer::capacityInfeasible(const Bounds &B, bool Explain,
 }
 
 Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
-                                  std::vector<Candidate> &Assignment,
-                                  std::string &Err,
-                                  uint64_t ConflictBudget, bool Explain,
-                                  SolveInfo *Info) {
+                                  std::vector<Base> &Assignment,
+                                  std::string &Err, uint64_t ConflictBudget,
+                                  bool Explain, SolveInfo *Info) {
   if (Info)
     *Info = {};
   obs::Span Sp(Ctx, "place.solve");
@@ -456,35 +536,35 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
   if (capacityInfeasible(B, Explain, Sp))
     return Attempt::Unsat;
 
-  std::vector<std::vector<Candidate>> Cands(Clusters.size());
-  for (size_t I = 0; I < Clusters.size(); ++I) {
-    Result<std::vector<Candidate>> E = enumerate(Clusters[I], B, Cap);
-    if (!E) {
-      Err = E.error();
-      return Attempt::Error;
-    }
-    Cands[I] = E.take();
-    if (Cands[I].empty()) {
-      Sp.arg("outcome", "no_candidates");
-      if (Explain) {
-        const Cluster &C = Clusters[I];
-        noteCore("range",
-                 Prog.body()[C.Members.front().BodyIndex].dst(),
-                 "cluster of " + std::to_string(C.Members.size()) + " " +
-                     std::string(ir::resourceName(C.Prim)) +
-                     " instruction(s) has no valid base position within "
-                     "columns <= " +
-                     std::to_string(B.MaxColumn) + ", rows <= " +
-                     std::to_string(B.MaxRow) + " on device '" + Dev.name() +
-                     "'");
-      }
-      return Attempt::Unsat; // no feasible base under these bounds
-    }
+  auto EnumT0 = std::chrono::steady_clock::now();
+  size_t Empty = enumerate(B, Cap);
+  Sp.arg("candidates", static_cast<uint64_t>(Cands.size()));
+  if (Stats) {
+    Stats->EnumerateMs += std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - EnumT0)
+                              .count();
+    Stats->Candidates += Cands.size();
   }
+  if (Empty != SIZE_MAX) {
+    Sp.arg("outcome", "no_candidates");
+    if (Explain) {
+      const Cluster &C = Clusters[Empty];
+      noteCore("range", Prog.body()[C.Members.front().BodyIndex].dst(),
+               "cluster of " + std::to_string(C.Members.size()) + " " +
+                   std::string(ir::resourceName(C.Prim)) +
+                   " instruction(s) has no valid base position within "
+                   "columns <= " +
+                   std::to_string(B.MaxColumn) + ", rows <= " +
+                   std::to_string(B.MaxRow) + " on device '" + Dev.name() +
+                   "'");
+    }
+    return Attempt::Unsat; // no feasible base under these bounds
+  }
+  buildUsers(B);
 
   uint64_t Decisions = 0, Propagations = 0;
   if (Options.Mode == SatMode::Propagate &&
-      propagate(Cands, B, Assignment, Decisions, Propagations)) {
+      propagate(Assignment, Decisions, Propagations)) {
     if (Stats) {
       ++Stats->Solves;
       Stats->Decisions += Decisions;
@@ -502,17 +582,15 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
   sat::Solver S(Ctx);
   if (Options.Proof)
     S.setProof(Options.Proof);
-  // SAT variables per (cluster, candidate).
-  std::vector<std::vector<sat::Var>> Vars(Clusters.size());
-  std::map<device::Slot, std::vector<sat::Lit>> SlotUsers;
+  // One SAT variable per candidate, numbered cluster by cluster with each
+  // cluster's at-most-one auxiliaries after its candidates.
+  std::vector<sat::Var> VarOf(Cands.size());
+  std::vector<sat::Lit> Lits;
   for (size_t I = 0; I < Clusters.size(); ++I) {
-    std::vector<sat::Lit> Lits;
-    for (const Candidate &Cand : Cands[I]) {
-      sat::Var V = S.newVar();
-      Vars[I].push_back(V);
-      Lits.push_back(sat::Lit(V));
-      for (const device::Slot &Slot : Cand.Slots)
-        SlotUsers[Slot].push_back(sat::Lit(V));
+    Lits.clear();
+    for (uint32_t G = First[I]; G < First[I + 1]; ++G) {
+      VarOf[G] = S.newVar();
+      Lits.push_back(sat::Lit(VarOf[G]));
     }
     // Exactly one candidate per cluster.
     if (!S.addClause(Lits))
@@ -522,8 +600,12 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
   // Distinct slots: at most one user per slot. A multi-member cluster may
   // cover one slot with two members only through distinct candidates, so
   // pairwise AMO over candidate literals is exact.
-  for (auto &[Slot, Lits] : SlotUsers)
+  for (size_t K = 0; K + 1 < UserStart.size(); ++K) {
+    Lits.clear();
+    for (uint32_t U = UserStart[K]; U < UserStart[K + 1]; ++U)
+      Lits.push_back(sat::Lit(VarOf[Users[U]]));
     addAtMostOne(S, Lits);
+  }
 
   if (Stats) {
     ++Stats->Solves;
@@ -546,66 +628,31 @@ Placer::Attempt Placer::solveOnce(const Bounds &B, size_t Cap,
     // Explain only a *proved* UNSAT: a budget-exhausted attempt has no
     // refutation to extract a core from.
     if (Explain && O == sat::Outcome::Unsat)
-      explainUnsat(Cands);
+      explainUnsat();
     return Attempt::Unsat; // Unknown (budget hit) also counts as no-shrink
   }
   Sp.arg("outcome", "sat");
 
-  Assignment.clear();
-  Assignment.resize(Clusters.size());
+  Assignment.assign(Clusters.size(), Base{});
   for (size_t I = 0; I < Clusters.size(); ++I) {
-    bool Chosen = false;
-    for (size_t K = 0; K < Vars[I].size(); ++K)
-      if (S.value(Vars[I][K])) {
-        Assignment[I] = Cands[I][K];
-        Chosen = true;
-        break;
-      }
-    if (!Chosen) {
+    uint32_t G = First[I];
+    while (G < First[I + 1] && !S.value(VarOf[G]))
+      ++G;
+    if (G == First[I + 1]) {
       Err = "internal error: satisfiable model without a chosen candidate";
       return Attempt::Error;
     }
+    Assignment[I] = Cands[G];
   }
   return Attempt::Sat;
 }
 
-bool Placer::propagate(const std::vector<std::vector<Candidate>> &Cands,
-                       const Bounds &B, std::vector<Candidate> &Assignment,
-                       uint64_t &Decisions, uint64_t &Propagations) const {
-  // Candidates numbered densely in CNF variable order: cluster I owns
-  // [First[I], First[I + 1]).
+bool Placer::propagate(std::vector<Base> &Assignment, uint64_t &Decisions,
+                       uint64_t &Propagations) const {
   size_t N = Clusters.size();
-  std::vector<uint32_t> First(N + 1, 0);
-  for (size_t I = 0; I < N; ++I)
-    First[I + 1] = First[I] + static_cast<uint32_t>(Cands[I].size());
-  std::vector<uint32_t> ClusterOf(First[N]);
-  for (size_t I = 0; I < N; ++I)
-    std::fill(ClusterOf.begin() + First[I], ClusterOf.begin() + First[I + 1],
-              static_cast<uint32_t>(I));
-  auto CandOf = [&](uint32_t G) -> const Candidate & {
-    return Cands[ClusterOf[G]][G - First[ClusterOf[G]]];
-  };
-
-  // CSR table from slot to its users, one entry per member slot exactly as
-  // the CNF's slot at-most-one lists them (a candidate naming one slot
-  // twice appears twice).
-  size_t Rows = size_t(B.MaxRow) + 1;
-  auto Key = [&](const device::Slot &S) { return S.X * Rows + S.Y; };
-  std::vector<uint32_t> UserStart((size_t(B.MaxColumn) + 1) * Rows + 1, 0);
-  for (uint32_t G = 0; G < First[N]; ++G)
-    for (const device::Slot &S : CandOf(G).Slots)
-      ++UserStart[Key(S) + 1];
-  for (size_t K = 1; K < UserStart.size(); ++K)
-    UserStart[K] += UserStart[K - 1];
-  std::vector<uint32_t> Users(UserStart.back());
-  std::vector<uint32_t> Fill(UserStart.begin(), UserStart.end() - 1);
-  for (uint32_t G = 0; G < First[N]; ++G)
-    for (const device::Slot &S : CandOf(G).Slots)
-      Users[Fill[Key(S)]++] = G;
-
   constexpr uint32_t None = UINT32_MAX;
   std::vector<uint32_t> Chosen(N, None);
-  std::vector<uint8_t> Dead(First[N], 0);
+  std::vector<uint8_t> Dead(Cands.size(), 0);
   std::vector<uint32_t> Live(N);
   std::vector<uint32_t> Units; // clusters left with one live candidate
   for (size_t I = 0; I < N; ++I) {
@@ -619,15 +666,21 @@ bool Placer::propagate(const std::vector<std::vector<Candidate>> &Cands,
       ++G;
     return G;
   };
+  std::vector<size_t> Keys;
   auto Choose = [&](uint32_t G) {
-    const std::vector<device::Slot> &Slots = CandOf(G).Slots;
-    for (size_t A = 0; A < Slots.size(); ++A)
-      for (size_t Z = A + 1; Z < Slots.size(); ++Z)
-        if (Slots[A] == Slots[Z])
+    const Cluster &C = Clusters[ClusterOf[G]];
+    Keys.clear();
+    for (const Member &M : C.Members) {
+      device::Slot S = C.slotOf(M, Cands[G]);
+      Keys.push_back(size_t(S.X) * UserRows + S.Y);
+    }
+    for (size_t A = 0; A < Keys.size(); ++A)
+      for (size_t Z = A + 1; Z < Keys.size(); ++Z)
+        if (Keys[A] == Keys[Z])
           return false;
     Chosen[ClusterOf[G]] = G;
-    for (const device::Slot &S : Slots)
-      for (uint32_t U = UserStart[Key(S)]; U < UserStart[Key(S) + 1]; ++U) {
+    for (size_t K : Keys)
+      for (uint32_t U = UserStart[K]; U < UserStart[K + 1]; ++U) {
         uint32_t H = Users[U];
         uint32_t J = ClusterOf[H];
         if (Dead[H] || Chosen[J] != None)
@@ -666,7 +719,7 @@ bool Placer::propagate(const std::vector<std::vector<Candidate>> &Cands,
   // variables, and the solver decides each such group once when no
   // chosen candidate holds its slot.
   auto Aux = [](uint32_t Lits) { return Lits >= 3 ? Lits - 1 : 0; };
-  Propagations = First[N];
+  Propagations = Cands.size();
   for (size_t I = 0; I < N; ++I)
     Propagations += Aux(First[I + 1] - First[I]);
   for (size_t K = 0; K + 1 < UserStart.size(); ++K) {
@@ -680,7 +733,7 @@ bool Placer::propagate(const std::vector<std::vector<Candidate>> &Cands,
 
   Assignment.clear();
   for (size_t I = 0; I < N; ++I)
-    Assignment.push_back(CandOf(Chosen[I]));
+    Assignment.push_back(Cands[Chosen[I]]);
   return true;
 }
 
@@ -702,7 +755,16 @@ void Placer::accumulate(const sat::Solver::Statistics &D, bool BudgetHit) {
   }
 }
 
-void Placer::explainUnsat(const std::vector<std::vector<Candidate>> &Cands) {
+std::vector<device::Slot>
+Placer::slotsOf(const std::vector<Base> &Assignment) const {
+  std::vector<device::Slot> Slots;
+  for (size_t I = 0; I < Clusters.size(); ++I)
+    for (const Member &M : Clusters[I].Members)
+      Slots.push_back(Clusters[I].slotOf(M, Assignment[I]));
+  return Slots;
+}
+
+void Placer::explainUnsat() {
   // Re-emit the encoding with one selector literal per constraint group:
   // group clauses become (clause ∨ ¬selector) and the solve assumes every
   // selector, so the failed-assumption core names exactly the groups that
@@ -733,26 +795,21 @@ void Placer::explainUnsat(const std::vector<std::vector<Candidate>> &Cands) {
     return sat::Lit(V);
   };
 
-  std::map<device::Slot, std::vector<sat::Lit>> SlotUsers;
-  std::map<device::Slot, size_t> SlotFirstCluster;
+  std::vector<sat::Var> VarOf(Cands.size());
   for (size_t I = 0; I < Clusters.size(); ++I) {
     const Cluster &C = Clusters[I];
     std::vector<sat::Lit> Lits;
-    for (const Candidate &Cand : Cands[I]) {
-      sat::Var V = S.newVar();
-      Lits.push_back(sat::Lit(V));
-      for (const device::Slot &Slot : Cand.Slots) {
-        SlotUsers[Slot].push_back(sat::Lit(V));
-        SlotFirstCluster.try_emplace(Slot, I);
-      }
+    for (uint32_t G = First[I]; G < First[I + 1]; ++G) {
+      VarOf[G] = S.newVar();
+      Lits.push_back(sat::Lit(VarOf[G]));
     }
     // The cluster's row span mirrors its relative adjacency constraints
     // (e.g. a cascade chain at (x, y) .. (x, y+k)).
     int64_t MinDy = 0, MaxDy = 0;
     for (const Member &M : C.Members)
-      if (M.Y.isVar()) {
-        MinDy = std::min(MinDy, M.Y.offset());
-        MaxDy = std::max(MaxDy, M.Y.offset());
+      if (M.YRel) {
+        MinDy = std::min(MinDy, M.DY);
+        MaxDy = std::max(MaxDy, M.DY);
       }
     std::string Rep = Prog.body()[C.Members.front().BodyIndex].dst();
     std::string Detail =
@@ -761,7 +818,7 @@ void Placer::explainUnsat(const std::vector<std::vector<Candidate>> &Cands) {
         (MaxDy > MinDy
              ? " spanning " + std::to_string(MaxDy - MinDy + 1) + " row(s)"
              : "") +
-        " must take one of " + std::to_string(Cands[I].size()) +
+        " must take one of " + std::to_string(First[I + 1] - First[I]) +
         " base position(s)";
     sat::Lit Sel = MakeSelector("choose-one", Rep, std::move(Detail));
     std::vector<sat::Lit> Guarded = Lits;
@@ -769,17 +826,22 @@ void Placer::explainUnsat(const std::vector<std::vector<Candidate>> &Cands) {
     S.addClause(std::move(Guarded));
     addAtMostOne(S, Lits);
   }
-  for (auto &[Slot, Lits] : SlotUsers) {
-    if (Lits.size() <= 1)
+  for (size_t K = 0; K + 1 < UserStart.size(); ++K) {
+    if (UserStart[K + 1] - UserStart[K] <= 1)
       continue; // a sole user can never collide
-    size_t FirstCluster = SlotFirstCluster.at(Slot);
-    std::string Rep =
-        Prog.body()[Clusters[FirstCluster].Members.front().BodyIndex].dst();
+    std::vector<sat::Lit> Lits;
+    for (uint32_t U = UserStart[K]; U < UserStart[K + 1]; ++U)
+      Lits.push_back(sat::Lit(VarOf[Users[U]]));
+    // Users are in candidate order, so the first names the lowest cluster
+    // competing for the slot.
+    const Cluster &FirstCluster = Clusters[ClusterOf[Users[UserStart[K]]]];
+    std::string Rep = Prog.body()[FirstCluster.Members.front().BodyIndex].dst();
+    unsigned X = static_cast<unsigned>(K / UserRows);
+    unsigned Y = static_cast<unsigned>(K % UserRows);
     sat::Lit Sel = MakeSelector(
         "distinct", Rep,
-        "slot " +
-            std::string(ir::resourceName(Dev.columns()[Slot.X].Kind)) + "(" +
-            std::to_string(Slot.X) + ", " + std::to_string(Slot.Y) +
+        "slot " + std::string(ir::resourceName(Dev.columns()[X].Kind)) + "(" +
+            std::to_string(X) + ", " + std::to_string(Y) +
             ") admits one instruction but " + std::to_string(Lits.size()) +
             " candidate(s) compete for it");
     addAtMostOne(S, Lits, Sel);
@@ -818,7 +880,7 @@ Result<AsmProgram> Placer::run() {
   // enumerated.
   size_t FullCap = static_cast<size_t>(Dev.numColumns()) * TallestColumn + 1;
   size_t Cap = std::max<size_t>(InitialCandidateCap, 2 * Clusters.size() + 8);
-  std::vector<Candidate> BestAssignment;
+  std::vector<Base> BestAssignment;
   SolveInfo Info;
   while (true) {
     std::string Err;
@@ -855,10 +917,8 @@ Result<AsmProgram> Placer::run() {
     P.Result = Oc;
     P.Conflicts = SI.Conflicts;
     P.Decisions = SI.Decisions;
-    for (const Candidate &Cand : BestAssignment)
-      for (const device::Slot &S : Cand.Slots)
-        P.Slots.push_back(S);
-    for (const device::Slot &S : FixedSlots)
+    P.Slots = slotsOf(BestAssignment);
+    for (const auto &[BodyIndex, S] : Pinned)
       P.Slots.push_back(S);
     for (const device::Slot &S : P.Slots) {
       P.MaxColumn = std::max(P.MaxColumn, S.X);
@@ -873,7 +933,7 @@ Result<AsmProgram> Placer::run() {
                  std::to_string(Clusters.size()) + " cluster(s) on '" +
                  Dev.name() + "' (candidate cap " + std::to_string(Cap) + ")")
         .arg("clusters", static_cast<uint64_t>(Clusters.size()))
-        .arg("fixed_clusters", static_cast<uint64_t>(FixedClusters.size()))
+        .arg("fixed_clusters", static_cast<uint64_t>(Pinned.size()))
         .arg("candidate_cap", static_cast<uint64_t>(Cap))
         .arg("device", Dev.name());
 
@@ -885,13 +945,12 @@ Result<AsmProgram> Placer::run() {
     // Bounds needed by the placeable clusters alone. Fixed (pinned) slots
     // are excluded: they are not enumerated, so they may lie outside the
     // shrink window without affecting feasibility.
-    auto UsedBounds = [&](const std::vector<Candidate> &Assignment) {
+    auto UsedBounds = [&](const std::vector<Base> &Assignment) {
       Bounds B{0, 0};
-      for (const Candidate &Cand : Assignment)
-        for (const device::Slot &S : Cand.Slots) {
-          B.MaxColumn = std::max(B.MaxColumn, S.X);
-          B.MaxRow = std::max(B.MaxRow, S.Y);
-        }
+      for (const device::Slot &S : slotsOf(Assignment)) {
+        B.MaxColumn = std::max(B.MaxColumn, S.X);
+        B.MaxRow = std::max(B.MaxRow, S.Y);
+      }
       return B;
     };
     Bounds Cur{Full.MaxColumn, Full.MaxRow};
@@ -914,7 +973,7 @@ Result<AsmProgram> Placer::run() {
           ++Stats->ShrinkIterations;
         Bounds Try = Cur;
         (Axis == 0 ? Try.MaxColumn : Try.MaxRow) = Mid;
-        std::vector<Candidate> Assignment;
+        std::vector<Base> Assignment;
         std::string Err;
         if (Options.Proof)
           Options.Proof->comment(
@@ -983,30 +1042,26 @@ Result<AsmProgram> Placer::run() {
   Placed.outputs() = Prog.outputs();
   std::vector<device::Slot> SlotOf(Prog.body().size());
   for (size_t I = 0; I < Clusters.size(); ++I) {
-    for (size_t K = 0; K < Clusters[I].Members.size(); ++K)
-      SlotOf[Clusters[I].Members[K].BodyIndex] = BestAssignment[I].Slots[K];
+    const Cluster &C = Clusters[I];
+    for (const Member &M : C.Members)
+      SlotOf[M.BodyIndex] = C.slotOf(M, BestAssignment[I]);
     // Which column kind each cluster bound to, and where.
-    if (Ctx.remarksEnabled() && !BestAssignment[I].Slots.empty()) {
-      const device::Slot &Base = BestAssignment[I].Slots.front();
+    if (Ctx.remarksEnabled()) {
+      device::Slot At = C.slotOf(C.Members.front(), BestAssignment[I]);
       obs::Remark(Ctx, "place", "bind")
-          .instr(Prog.body()[Clusters[I].Members.front().BodyIndex].dst())
-          .message("cluster of " +
-                   std::to_string(Clusters[I].Members.size()) +
-                   " bound to " +
-                   std::string(ir::resourceName(Clusters[I].Prim)) +
-                   " column " + std::to_string(Base.X) + ", base row " +
-                   std::to_string(Base.Y))
-          .arg("column_kind", ir::resourceName(Clusters[I].Prim))
-          .arg("x", Base.X)
-          .arg("y", Base.Y)
-          .arg("members", static_cast<uint64_t>(Clusters[I].Members.size()));
+          .instr(Prog.body()[C.Members.front().BodyIndex].dst())
+          .message("cluster of " + std::to_string(C.Members.size()) +
+                   " bound to " + std::string(ir::resourceName(C.Prim)) +
+                   " column " + std::to_string(At.X) + ", base row " +
+                   std::to_string(At.Y))
+          .arg("column_kind", ir::resourceName(C.Prim))
+          .arg("x", At.X)
+          .arg("y", At.Y)
+          .arg("members", static_cast<uint64_t>(C.Members.size()));
     }
   }
-  for (const Cluster &C : FixedClusters) {
-    device::Slot S;
-    memberSlot(C.Members[0], 0, 0, S);
-    SlotOf[C.Members[0].BodyIndex] = S;
-  }
+  for (const auto &[BodyIndex, S] : Pinned)
+    SlotOf[BodyIndex] = S;
   unsigned MaxC = 0, MaxR = 0, NumPlaced = 0;
   for (size_t I = 0; I < Prog.body().size(); ++I) {
     const AsmInstr &A = Prog.body()[I];

@@ -25,6 +25,15 @@
 /// first-fit unit propagation, which finds the solver's own model whenever
 /// the solver would need no search (see SatMode).
 ///
+/// Every attempt writes its candidates into flat tables: each cluster's
+/// first `cap` valid bases in (x, y) order, as (XBase, YBase) pairs in one
+/// array, numbered exactly as the CNF numbers its variables. A member's
+/// slot is its offset from the base; the valid base columns, the member
+/// offsets and the per-kind demand are computed once per run, and pinned
+/// instructions live in a dense occupancy grid. Propagation, the CNF and
+/// the UNSAT explanation all read the same tables, through one slot ->
+/// users table per attempt.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RETICLE_PLACE_PLACE_H
@@ -49,17 +58,18 @@ namespace place {
 /// How a placement attempt (the initial solve, each candidate-cap step
 /// and each shrink probe) finds its layout.
 ///
-///  - Scratch: every attempt encodes its enumerated candidates as a fresh
-///    CNF and solves it (the historical behavior; kept as the oracle).
+///  - Scratch: every attempt encodes its candidate tables as a fresh CNF
+///    and solves it (the historical behavior; kept as the oracle).
 ///  - Propagate: every attempt first runs first-fit unit propagation over
-///    its enumerated candidates, which replays the CDCL solver's own
+///    the same candidate tables, which replays the CDCL solver's own
 ///    conflict-free trajectory on that CNF (lowest-index decision, phase
 ///    true, unit propagation). The attempt builds and solves the CNF only
 ///    when propagation meets what would be the solver's first conflict.
 ///
-/// Both modes produce the same layout on every attempt, so the placed
-/// program, the timeline and the proof log are byte-identical across
-/// them. Propagate is the default.
+/// Both modes share the enumeration and produce the same layout on every
+/// attempt, so the placed program, the timeline and the proof log are
+/// byte-identical across them; a change to the enumeration shows only
+/// against the goldens in tests/goldens/place. Propagate is the default.
 enum class SatMode : uint8_t { Scratch, Propagate };
 
 /// Tuning knobs for placement.
@@ -138,6 +148,11 @@ struct PlacementStats {
   /// CNF solves of every probe); the headline "placement solve time" the
   /// benchmarks compare across modes.
   double ShrinkMs = 0.0;
+  /// Wall-clock spent filling the candidate tables, summed over every
+  /// attempt that got past the capacity precheck.
+  double EnumerateMs = 0.0;
+  /// Candidates those attempts enumerated, summed.
+  uint64_t Candidates = 0;
   /// Shrink probes that got past the prechecks (answered by propagation
   /// or the CNF). The name predates propagation; benchmarks read it.
   uint64_t IncrementalProbes = 0;

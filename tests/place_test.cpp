@@ -12,10 +12,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iterator>
 #include <optional>
 #include <random>
+#include <set>
+#include <sstream>
 
 using namespace reticle;
 using namespace reticle::place;
@@ -385,30 +390,60 @@ ModeRuns placeBothModes(const AsmProgram &P, const Device &Dev) {
 
 /// A random placement problem that can need real search: 2-6 clusters of
 /// LUT or DSP instructions, each a chain of 1-3 members with row gaps of
-/// 1-2, in a variable column or pinned to a column of its kind.
+/// 1-2, in a variable column or pinned to a column of its kind; plus up
+/// to two fully pinned instructions (fixed clusters that only occupy
+/// slots) and up to two single instructions with `??` coordinates.
 AsmProgram randomChains(std::mt19937 &Rng, const Device &Dev) {
   auto Pick = [&](int Lo, int Hi) {
     return std::uniform_int_distribution<int>(Lo, Hi)(Rng);
   };
+  auto PickKind = [&] {
+    return Pick(0, 1) ? ir::Resource::Lut : ir::Resource::Dsp;
+  };
+  auto PickColumn = [&](ir::Resource Kind) {
+    std::vector<unsigned> Cols = Dev.columnsOf(Kind);
+    return Cols[Pick(0, int(Cols.size()) - 1)];
+  };
   std::string Body;
   unsigned T = 0;
+  auto Emit = [&](ir::Resource Kind, const std::string &X,
+                  const std::string &Y) {
+    Body += "  t" + std::to_string(T++) + ":i8 = add(a, b) @" +
+            std::string(ir::resourceName(Kind)) + "(" + X + ", " + Y +
+            ");\n";
+  };
   int NumClusters = Pick(2, 6);
   for (int C = 0; C < NumClusters; ++C) {
-    ir::Resource Kind = Pick(0, 1) ? ir::Resource::Lut : ir::Resource::Dsp;
-    std::vector<unsigned> Cols;
-    for (unsigned X = 0; X < Dev.numColumns(); ++X)
-      if (Dev.columns()[X].Kind == Kind)
-        Cols.push_back(X);
-    std::string Col =
-        Pick(0, 1) ? "x" + std::to_string(C)
-                   : std::to_string(Cols[Pick(0, int(Cols.size()) - 1)]);
+    ir::Resource Kind = PickKind();
+    std::string Col = Pick(0, 1) ? "x" + std::to_string(C)
+                                 : std::to_string(PickColumn(Kind));
     int Row = 0;
     for (int M = Pick(1, 3); M > 0; --M) {
-      Body += "  t" + std::to_string(T++) + ":i8 = add(a, b) @" +
-              std::string(ir::resourceName(Kind)) + "(" + Col + ", y" +
-              std::to_string(C) + (Row ? "+" + std::to_string(Row) : "") +
-              ");\n";
+      Emit(Kind, Col,
+           "y" + std::to_string(C) + (Row ? "+" + std::to_string(Row) : ""));
       Row += Pick(1, 2);
+    }
+  }
+  std::set<device::Slot> Pinned;
+  for (int P = Pick(0, 2); P > 0; --P) {
+    ir::Resource Kind = PickKind();
+    unsigned X = PickColumn(Kind);
+    unsigned Y = Pick(0, int(Dev.columns()[X].Height) - 1);
+    if (Pinned.insert({X, Y}).second)
+      Emit(Kind, std::to_string(X), std::to_string(Y));
+  }
+  for (int W = Pick(0, 2); W > 0; --W) {
+    ir::Resource Kind = PickKind();
+    switch (Pick(0, 2)) {
+    case 0:
+      Emit(Kind, "??", "??");
+      break;
+    case 1:
+      Emit(Kind, "??", std::to_string(Pick(0, 3)));
+      break;
+    default:
+      Emit(Kind, std::to_string(PickColumn(Kind)), "??");
+      break;
     }
   }
   return parseOk("def f(a:i8, b:i8) -> (t0:i8) {\n" + Body + "}\n");
@@ -449,6 +484,50 @@ TEST(Place, PropagationFallsBackToTheCnfAndAgreesWithScratch) {
   EXPECT_GT(FellBackUnsat, 0u);
 }
 
+TEST(Place, CandidateCapGrowsWhenTheCappedAttemptFails) {
+  // A 130-row chain pinned to column 0 fills that column, so it has one
+  // candidate. The wildcard instruction's first 128 candidates (the
+  // initial cap) are all in column 0 as well, so the capped attempt is
+  // refuted, and the cap grows to 512, reaching column 1. There the two
+  // pinned instructions occupy rows 0 and 1, so the layout puts the
+  // wildcard at (1, 2).
+  Device Dev("capgrow", {{ir::Resource::Lut, 130},
+                         {ir::Resource::Lut, 130},
+                         {ir::Resource::Lut, 130},
+                         {ir::Resource::Lut, 130}});
+  std::string Body;
+  for (unsigned K = 0; K < 130; ++K)
+    Body += "  c" + std::to_string(K) + ":i8 = add(a, b) @lut(0, y" +
+            (K ? "+" + std::to_string(K) : "") + ");\n";
+  Body += "  p0:i8 = add(a, b) @lut(1, 0);\n"
+          "  p1:i8 = add(a, b) @lut(1, 1);\n"
+          "  w:i8 = add(a, b) @lut(?\?, ?\?);\n";
+  AsmProgram P = parseOk("def f(a:i8, b:i8) -> (w:i8) {\n" + Body + "}\n");
+
+  ModeRuns R = placeBothModes(P, Dev);
+  ASSERT_TRUE(R.Propagate.ok()) << R.Propagate.error();
+  EXPECT_TRUE(checkPlacement(P, R.Propagate.value(), Dev).ok());
+  EXPECT_NE(R.Propagate.value().str().find("w:i8 = add(a, b) @lut(1, 2)"),
+            std::string::npos)
+      << R.Propagate.value().str();
+  // Propagation refutes the capped attempt and hands it to the CNF.
+  EXPECT_GT(R.PropagateStats.CnfSolves, 0u);
+
+  for (SatMode Mode : {SatMode::Scratch, SatMode::Propagate}) {
+    obs::Telemetry Telem;
+    obs::RemarkStream Remarks;
+    obs::Coverage Cov;
+    Remarks.enable();
+    obs::Context Ctx{&Telem, &Remarks, &Cov};
+    PlacementOptions Options;
+    Options.Mode = Mode;
+    ASSERT_TRUE(reticle::place::place(P, Dev, Options, nullptr, Ctx).ok());
+    std::string Stream = Remarks.jsonl("capgrow");
+    EXPECT_NE(Stream.find("(candidate cap 512)"), std::string::npos);
+    EXPECT_NE(Stream.find("\"candidate_cap\":512"), std::string::npos);
+  }
+}
+
 TEST(Place, CandidateListingOneSlotTwiceFallsBack) {
   // With x = 0 both members land on lut(0, y): the lowest candidate names
   // one slot twice, which the solver rejects only through a conflict, so
@@ -466,40 +545,129 @@ TEST(Place, CandidateListingOneSlotTwiceFallsBack) {
   EXPECT_GT(R.PropagateStats.Timeline.front().Conflicts, 0u);
 }
 
-TEST(Place, ModesAgreeOnCompiledProgramsByteForByte) {
-  // The compile-time corpus through the whole pipeline: the placed
-  // program, the timeline and the proof log must not depend on the mode.
-  struct Case {
-    std::string Name;
-    std::optional<ir::Function> Fn; // else: tests/inputs/<Name>.ret
-    Device Dev;
-  };
-  std::vector<Case> Cases;
+namespace {
+
+/// One program of the compile-time corpus, on the device it is compiled
+/// for.
+struct CorpusCase {
+  std::string Name;
+  std::optional<ir::Function> Fn; // else: tests/inputs/<Name>.ret
+  Device Dev;
+};
+
+std::vector<CorpusCase> placementCorpus() {
+  std::vector<CorpusCase> Cases;
   Cases.push_back({"fsm_shrink", std::nullopt, Device::small()});
   Cases.push_back({"fsm_43", frontend::makeFsm(43), Device::xczu3eg()});
   Cases.push_back(
       {"tensoradd_512", frontend::makeTensorAdd(512), Device::xczu3eg()});
   Cases.push_back(
       {"dsp_add_1024", frontend::makeDspAdd(1024), Device::xczu3eg()});
-  for (const Case &C : Cases) {
-    SCOPED_TRACE(C.Name);
-    std::string Source;
-    if (!C.Fn) {
-      std::ifstream In(std::string(RETICLE_TEST_INPUTS_DIR) + "/" + C.Name +
-                       ".ret");
-      ASSERT_TRUE(In.good());
-      Source.assign(std::istreambuf_iterator<char>(In), {});
+  return Cases;
+}
+
+/// Compiles \p C through the whole pipeline in \p Mode, proof log on.
+Result<core::CompileResult> compileCorpus(const CorpusCase &C, SatMode Mode) {
+  std::string Source;
+  if (!C.Fn) {
+    std::ifstream In(std::string(RETICLE_TEST_INPUTS_DIR) + "/" + C.Name +
+                     ".ret");
+    EXPECT_TRUE(In.good()) << C.Name;
+    Source.assign(std::istreambuf_iterator<char>(In), {});
+  }
+  core::CompileOptions Options;
+  Options.Dev = C.Dev;
+  Options.SatMode = Mode;
+  Options.SatProof = true;
+  return C.Fn ? core::compile(*C.Fn, Options)
+              : core::compileSource(Source, C.Name, Options);
+}
+
+std::string fnv1a(const std::string &Text) {
+  uint64_t H = 0xcbf29ce484222325ULL;
+  for (unsigned char Ch : Text) {
+    H ^= Ch;
+    H *= 0x100000001b3ULL;
+  }
+  char Buf[17];
+  std::snprintf(Buf, sizeof(Buf), "%016llx",
+                static_cast<unsigned long long>(H));
+  return Buf;
+}
+
+size_t lineCount(const std::string &Text) {
+  return static_cast<size_t>(std::count(Text.begin(), Text.end(), '\n'));
+}
+
+/// What a compile's placement must reproduce, as golden text: the search
+/// totals, one line per timeline frame (its slots as a digest), and
+/// digests of the placed program and the proof log.
+std::string placementGolden(const core::CompileResult &R) {
+  const PlacementStats &S = R.PlaceStats;
+  std::ostringstream Out;
+  std::string Placed = R.Placed.str();
+  Out << "placed " << lineCount(Placed) << " lines fnv1a " << fnv1a(Placed)
+      << "\n";
+  Out << "proof " << lineCount(R.SatProof) << " lines fnv1a "
+      << fnv1a(R.SatProof) << "\n";
+  Out << "decisions " << S.Decisions << "\n";
+  Out << "propagations " << S.Propagations << "\n";
+  Out << "conflicts " << S.Conflicts << "\n";
+  for (const ShrinkProbe &F : S.Timeline) {
+    std::string Slots;
+    for (const device::Slot &Sl : F.Slots)
+      Slots += std::to_string(Sl.X) + "," + std::to_string(Sl.Y) + ";";
+    Out << "frame "
+        << (F.ProbeAxis == ShrinkProbe::Axis::Initial  ? "initial"
+            : F.ProbeAxis == ShrinkProbe::Axis::Column ? "col"
+                                                       : "row")
+        << " bound " << F.Bound << " outcome "
+        << (F.Result == ShrinkProbe::Outcome::Sat     ? "sat"
+            : F.Result == ShrinkProbe::Outcome::Unsat ? "unsat"
+                                                      : "budget")
+        << " conflicts " << F.Conflicts << " decisions " << F.Decisions
+        << " box " << F.MaxColumn << "x" << F.MaxRow << " slots "
+        << F.Slots.size() << " fnv1a " << fnv1a(Slots) << "\n";
+  }
+  return Out.str();
+}
+
+} // namespace
+
+TEST(Place, CorpusPlacementMatchesGoldenInBothModes) {
+  // tests/goldens/place/<name>.txt pins what the corpus placement
+  // searched and found. Both modes share the candidate enumeration, so
+  // only a golden catches a change to it. RETICLE_UPDATE_GOLDENS=1
+  // rewrites the goldens from the scratch mode.
+  const char *Update = std::getenv("RETICLE_UPDATE_GOLDENS");
+  for (const CorpusCase &C : placementCorpus()) {
+    std::string Path =
+        std::string(RETICLE_PLACE_GOLDENS_DIR) + "/" + C.Name + ".txt";
+    for (SatMode Mode : {SatMode::Scratch, SatMode::Propagate}) {
+      SCOPED_TRACE(C.Name + (Mode == SatMode::Scratch ? " scratch"
+                                                      : " propagate"));
+      Result<core::CompileResult> R = compileCorpus(C, Mode);
+      ASSERT_TRUE(R.ok()) << R.error();
+      std::string Text = placementGolden(R.value());
+      if (Update && std::string(Update) == "1" && Mode == SatMode::Scratch) {
+        std::ofstream(Path, std::ios::binary) << Text;
+        continue;
+      }
+      std::ifstream In(Path, std::ios::binary);
+      ASSERT_TRUE(In.good()) << "missing golden " << Path;
+      std::string Golden((std::istreambuf_iterator<char>(In)), {});
+      EXPECT_EQ(Golden, Text);
     }
-    auto Compile = [&](SatMode Mode) {
-      core::CompileOptions Options;
-      Options.Dev = C.Dev;
-      Options.SatMode = Mode;
-      Options.SatProof = true;
-      return C.Fn ? core::compile(*C.Fn, Options)
-                  : core::compileSource(Source, C.Name, Options);
-    };
-    Result<core::CompileResult> S = Compile(SatMode::Scratch);
-    Result<core::CompileResult> P = Compile(SatMode::Propagate);
+  }
+}
+
+TEST(Place, ModesAgreeOnCompiledProgramsByteForByte) {
+  // The compile-time corpus through the whole pipeline: the placed
+  // program, the timeline and the proof log must not depend on the mode.
+  for (const CorpusCase &C : placementCorpus()) {
+    SCOPED_TRACE(C.Name);
+    Result<core::CompileResult> S = compileCorpus(C, SatMode::Scratch);
+    Result<core::CompileResult> P = compileCorpus(C, SatMode::Propagate);
     ASSERT_TRUE(S.ok()) << S.error();
     ASSERT_TRUE(P.ok()) << P.error();
     EXPECT_EQ(S.value().Placed.str(), P.value().Placed.str());
